@@ -472,7 +472,8 @@ pub fn train_parallel(
         // consume in plan order: replay filling + gradient updates stay on
         // this coordinator thread
         let mut round_reward = 0.0;
-        for result in results.iter().take(n_episodes) {
+        let mut results = results.into_iter();
+        for result in results.by_ref().take(n_episodes) {
             let JobResult::Episode {
                 reward,
                 transitions,
@@ -482,19 +483,19 @@ pub fn train_parallel(
             };
             for t in transitions {
                 agent.advance_steps(1);
-                agent.observe(t.clone());
+                agent.observe(t);
                 steps += 1;
             }
             round_reward += reward;
-            episode_rewards.push(*reward);
+            episode_rewards.push(reward);
         }
         if validate {
             let mut reductions: Vec<f64> = Vec::with_capacity(valset.len());
-            for result in results.iter().skip(n_episodes) {
+            for result in results {
                 let JobResult::Validate { size_reduction_pct } = result else {
                     unreachable!("validation slots follow episode slots")
                 };
-                reductions.push(*size_reduction_pct);
+                reductions.push(size_reduction_pct);
             }
             let n = reductions.len().max(1) as f64;
             validations.push(ValidationLog {

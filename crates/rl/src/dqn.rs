@@ -7,7 +7,7 @@
 //! is selected by the online network and evaluated by the target network,
 //! which counters Q-value overestimation.
 
-use crate::nn::{huber, Adam, Grads, Mlp};
+use crate::nn::{huber, Adam, Mlp};
 use crate::replay::{ReplayBuffer, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,49 +214,61 @@ impl DqnAgent {
         self.target = self.online.clone();
     }
 
+    /// One Huber-loss gradient step on a uniformly sampled mini-batch;
+    /// returns the batch's mean loss.
+    ///
+    /// The batch runs as row-major sweeps: the target network (and, for
+    /// Double DQN, the online network) over the non-terminal next states,
+    /// a cached online forward over the states, then one
+    /// [`Mlp::backward_rows`] and one Adam step. Every row keeps the
+    /// arithmetic of a per-sample forward/backward, so the result is the
+    /// same to the bit as handling the samples one by one.
     fn train_batch(&mut self) -> f64 {
-        let batch_size = self.config.batch_size;
+        let n = self.config.batch_size;
+        let n_actions = self.config.n_actions;
         let gamma = self.config.gamma;
-        let double = self.config.double;
-        // compute targets first (immutable borrows), then gradients
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(&mut self.rng, batch_size)
-            .into_iter()
-            .cloned()
+        let batch = self.replay.sample(&mut self.rng, n);
+        let live: Vec<f64> = batch
+            .iter()
+            .filter(|t| !t.done)
+            .flat_map(|t| t.next_state.iter().copied())
             .collect();
+        let n_live = batch.iter().filter(|t| !t.done).count();
+        let q_target = self.target.forward_rows(&live, n_live);
+        // Double DQN selects the next action with the online network
+        let q_select = if self.config.double {
+            self.online.forward_rows(&live, n_live)
+        } else {
+            q_target.clone()
+        };
+        let mut next_values = q_target
+            .chunks_exact(n_actions)
+            .zip(q_select.chunks_exact(n_actions))
+            .map(|(q, select)| q[argmax(select)]);
+
+        let states: Vec<f64> = batch.iter().flat_map(|t| t.state.iter().copied()).collect();
+        let cache = self.online.forward_rows_cache(&states, n);
+        let mut dout = vec![0.0; n * n_actions];
         let mut total_loss = 0.0;
-        let mut grads: Option<Grads> = None;
-        for t in &batch {
+        for (r, t) in batch.iter().enumerate() {
             let target_q = if t.done {
                 t.reward
             } else {
-                let next_q_target = self.target.forward(&t.next_state);
-                let value = if double {
-                    let next_q_online = self.online.forward(&t.next_state);
-                    next_q_target[argmax(&next_q_online)]
-                } else {
-                    next_q_target[argmax(&next_q_target)]
-                };
+                let value = next_values.next().expect("one value per live row");
                 t.reward + gamma * value
             };
-            let cache = self.online.forward_cache(&t.state);
-            let pred = cache.output()[t.action];
-            let (loss, dpred) = huber(pred, target_q, 1.0);
+            assert!(t.action < n_actions, "action {} out of range", t.action);
+            let at = r * n_actions + t.action;
+            let (loss, dpred) = huber(cache.output()[at], target_q, 1.0);
             total_loss += loss;
-            let mut dout = vec![0.0; self.config.n_actions];
-            dout[t.action] = dpred;
-            let g = self.online.backward(&cache, &dout);
-            match &mut grads {
-                Some(acc) => acc.add_assign(&g),
-                None => grads = Some(g),
-            }
+            dout[at] = dpred;
         }
-        if let Some(mut g) = grads {
-            g.scale(1.0 / batch_size as f64);
+        if n > 0 {
+            let mut g = self.online.backward_rows(&cache, &dout);
+            g.scale(1.0 / n as f64);
             self.optimizer.step(&mut self.online, &g);
         }
-        total_loss / batch_size as f64
+        total_loss / n as f64
     }
 
     /// Serializes the trained agent to JSON.

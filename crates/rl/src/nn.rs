@@ -35,17 +35,79 @@ impl Dense {
         }
     }
 
-    fn forward(&self, x: &[f64], pre: &mut Vec<f64>, out: &mut Vec<f64>) {
-        pre.clear();
-        out.clear();
-        for o in 0..self.n_out {
-            let row = &self.w[o * self.n_in..(o + 1) * self.n_in];
-            let mut acc = self.b[o];
-            for (wi, xi) in row.iter().zip(x) {
-                acc += wi * xi;
+    /// Pre-activations `W·x + b` of `n` row-major input rows, returned
+    /// row-major (`n × n_out`).
+    ///
+    /// Rows and outputs are blocked 2 × 4 into eight independent
+    /// accumulators, so consecutive adds no longer wait on one another.
+    /// Each output still runs `acc = b[o]; acc += w[o][i] * x[i]` in
+    /// index order, so every row is bit-identical to computing it alone.
+    pub fn forward_rows(&self, x: &[f64], n: usize) -> Vec<f64> {
+        let n_in = self.n_in;
+        assert_eq!(x.len(), n * n_in, "expected {n} rows of width {n_in}");
+        let mut pre = vec![0.0; n * self.n_out];
+        let mut r = 0;
+        while r + 2 <= n {
+            self.block_rows::<2>(x, r, &mut pre);
+            r += 2;
+        }
+        if r < n {
+            self.block_rows::<1>(x, r, &mut pre);
+        }
+        pre
+    }
+
+    /// Fills rows `r..r + R` of `pre`, four outputs at a time.
+    fn block_rows<const R: usize>(&self, x: &[f64], r: usize, pre: &mut [f64]) {
+        let (n_in, n_out) = (self.n_in, self.n_out);
+        let xs: [&[f64]; R] = std::array::from_fn(|k| &x[(r + k) * n_in..][..n_in]);
+        let mut store = |o: usize, acc: &[[f64; R]]| {
+            for (j, a) in acc.iter().enumerate() {
+                for (k, &v) in a.iter().enumerate() {
+                    pre[(r + k) * n_out + o + j] = v;
+                }
             }
-            pre.push(acc);
-            out.push(if self.relu && acc < 0.0 { 0.0 } else { acc });
+        };
+        let mut o = 0;
+        while o + 4 <= n_out {
+            store(o, &self.block::<R, 4>(&xs, o));
+            o += 4;
+        }
+        while o < n_out {
+            store(o, &self.block::<R, 1>(&xs, o));
+            o += 1;
+        }
+    }
+
+    /// Outputs `o..o + O` of the rows `xs`: `acc[j][k]` is output `o + j`
+    /// of row `k`.
+    #[inline(always)]
+    fn block<const R: usize, const O: usize>(&self, xs: &[&[f64]; R], o: usize) -> [[f64; R]; O] {
+        let n_in = self.n_in;
+        // re-sliced to exactly `n_in` so the loop runs without bounds checks
+        let ws: [&[f64]; O] = std::array::from_fn(|j| &self.w[(o + j) * n_in..][..n_in]);
+        let xs: [&[f64]; R] = std::array::from_fn(|k| &xs[k][..n_in]);
+        let mut acc: [[f64; R]; O] = std::array::from_fn(|j| [self.b[o + j]; R]);
+        for i in 0..n_in {
+            let xi: [f64; R] = std::array::from_fn(|k| xs[k][i]);
+            for (a, w) in acc.iter_mut().zip(&ws) {
+                let wi = w[i];
+                for (ak, x) in a.iter_mut().zip(&xi) {
+                    *ak += wi * x;
+                }
+            }
+        }
+        acc
+    }
+
+    /// Applies the layer's activation in place.
+    fn activate(&self, v: &mut [f64]) {
+        if self.relu {
+            for y in v {
+                if *y < 0.0 {
+                    *y = 0.0;
+                }
+            }
         }
     }
 }
@@ -127,57 +189,70 @@ impl Mlp {
 
     /// Plain forward pass.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut cur = x.to_vec();
-        let mut pre = Vec::new();
-        let mut out = Vec::new();
-        for layer in &self.layers {
-            layer.forward(&cur, &mut pre, &mut out);
-            std::mem::swap(&mut cur, &mut out);
-        }
-        cur
+        self.forward_rows(x, 1)
     }
 
     /// Batched forward pass: one call for `xs.len()` inputs.
     ///
-    /// Walks the batch layer-major (all rows of layer 0, then layer 1, …)
-    /// so concurrent in-flight states share each layer's weight matrix
-    /// traversal, but keeps the *exact* per-row accumulation order of
-    /// [`Mlp::forward`] — `acc = b[o]; acc += w[o][i] * x[i]` in index
-    /// order. Each output is therefore bit-identical to a solo
-    /// `forward(&xs[i])` regardless of batch size or composition, which is
+    /// Every row is bit-identical to a solo `forward(&xs[i])` regardless
+    /// of batch size or composition (see [`Mlp::forward_rows`]), which is
     /// what lets `posetrl-serve` batch inference across requests without
-    /// breaking the PR-2 determinism contract.
+    /// breaking its determinism contract.
     pub fn forward_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let mut cur: Vec<Vec<f64>> = xs.to_vec();
-        let mut pre = Vec::new();
-        let mut out = Vec::new();
+        let out = self.forward_rows(&xs.concat(), xs.len());
+        out.chunks_exact(self.output_dim().max(1))
+            .map(<[f64]>::to_vec)
+            .collect()
+    }
+
+    /// Forward pass over `n` row-major input rows (`n × input_dim`),
+    /// returning `n × output_dim` row-major outputs.
+    ///
+    /// The rows share each layer's weight traversal, while every output
+    /// keeps the per-row accumulation order of [`Dense::forward_rows`]: row
+    /// `i` is bit-identical to `forward` of that row alone.
+    pub fn forward_rows(&self, x: &[f64], n: usize) -> Vec<f64> {
+        let mut cur: Option<Vec<f64>> = None;
         for layer in &self.layers {
-            for x in cur.iter_mut() {
-                layer.forward(x, &mut pre, &mut out);
-                std::mem::swap(x, &mut out);
-            }
+            let mut y = layer.forward_rows(cur.as_deref().unwrap_or(x), n);
+            layer.activate(&mut y);
+            cur = Some(y);
         }
-        cur
+        cur.unwrap_or_else(|| x.to_vec())
     }
 
     /// Forward pass retaining the per-layer pre-activations and outputs
     /// needed for backprop.
     pub fn forward_cache(&self, x: &[f64]) -> ForwardCache {
+        self.forward_rows_cache(x, 1)
+    }
+
+    /// [`Mlp::forward_rows`] retaining every layer's row-major inputs and
+    /// pre-activations for [`Mlp::backward_rows`].
+    pub fn forward_rows_cache(&self, x: &[f64], n: usize) -> ForwardCache {
         let mut inputs = vec![x.to_vec()];
-        let mut pres = Vec::new();
+        let mut pres = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            let mut pre = Vec::new();
-            let mut out = Vec::new();
-            layer.forward(inputs.last().unwrap(), &mut pre, &mut out);
+            let pre = layer.forward_rows(inputs.last().expect("starts with the input"), n);
+            let mut out = pre.clone();
+            layer.activate(&mut out);
             pres.push(pre);
             inputs.push(out);
         }
-        ForwardCache { inputs, pres }
+        ForwardCache {
+            rows: n,
+            inputs,
+            pres,
+        }
     }
 
     /// Backpropagates `dloss_dout` (gradient w.r.t. the network output)
-    /// through the cached forward pass.
+    /// through a cached single-row forward pass.
+    ///
+    /// The gradient-checked reference that [`Mlp::backward_rows`] is
+    /// tested against; the learner itself only runs `backward_rows`.
     pub fn backward(&self, cache: &ForwardCache, dloss_dout: &[f64]) -> Grads {
+        debug_assert_eq!(cache.rows, 1, "backward takes a single-row cache");
         let mut grads = Grads::zeros_like(self);
         let mut delta = dloss_dout.to_vec();
         for (li, layer) in self.layers.iter().enumerate().rev() {
@@ -210,19 +285,73 @@ impl Mlp {
         }
         grads
     }
+
+    /// Backpropagates a batch: `dloss_dout` holds one output-gradient row
+    /// per cached row (`rows × output_dim`, row-major), and the result is
+    /// the sum of the per-row gradients.
+    ///
+    /// Bit-identical to `backward` on each row folded with
+    /// [`Grads::add_assign`] in row order: every dW/db element collects
+    /// its terms in row order, and each row's back-propagated delta sums
+    /// its outputs in index order. Rows and outputs whose delta is exactly
+    /// zero are skipped. With finite activations a zero delta only adds
+    /// ±0.0, and an accumulator that starts at +0.0 never becomes -0.0
+    /// (a sum is -0.0 only when both terms are), so the skipped add would
+    /// have left it unchanged.
+    pub fn backward_rows(&self, cache: &ForwardCache, dloss_dout: &[f64]) -> Grads {
+        let mut grads = Grads::zeros_like(self);
+        let mut delta = dloss_dout.to_vec();
+        for (li, layer) in self.layers.iter().enumerate().rev() {
+            let (n_in, n_out) = (layer.n_in, layer.n_out);
+            if layer.relu {
+                for (d, &p) in delta.iter_mut().zip(&cache.pres[li]) {
+                    if p < 0.0 {
+                        *d = 0.0;
+                    }
+                }
+            }
+            let (dw, db) = (&mut grads.dw[li], &mut grads.db[li]);
+            for (drow, x) in delta
+                .chunks_exact(n_out)
+                .zip(cache.inputs[li].chunks_exact(n_in))
+            {
+                for (o, &d) in drow.iter().enumerate().filter(|(_, &d)| d != 0.0) {
+                    db[o] += d;
+                    for (g, xi) in dw[o * n_in..][..n_in].iter_mut().zip(x) {
+                        *g += d * xi;
+                    }
+                }
+            }
+            if li > 0 {
+                let mut prev = vec![0.0; cache.rows * n_in];
+                for (drow, p) in delta.chunks_exact(n_out).zip(prev.chunks_exact_mut(n_in)) {
+                    for (o, &d) in drow.iter().enumerate().filter(|(_, &d)| d != 0.0) {
+                        for (pi, wi) in p.iter_mut().zip(&layer.w[o * n_in..][..n_in]) {
+                            *pi += d * wi;
+                        }
+                    }
+                }
+                delta = prev;
+            }
+        }
+        grads
+    }
 }
 
-/// Cached activations of one forward pass.
+/// Cached activations of one forward pass over `rows` input rows.
 #[derive(Debug, Clone)]
 pub struct ForwardCache {
-    /// `inputs[i]` is the input of layer `i`; the last entry is the output.
+    /// Number of input rows.
+    pub rows: usize,
+    /// `inputs[i]` is the input of layer `i` (`rows × n_in`, row-major);
+    /// the last entry is the output.
     pub inputs: Vec<Vec<f64>>,
-    /// Pre-activations per layer.
+    /// Pre-activations per layer (`rows × n_out`, row-major).
     pub pres: Vec<Vec<f64>>,
 }
 
 impl ForwardCache {
-    /// The network output of this pass.
+    /// The network output of this pass (`rows × output_dim`, row-major).
     pub fn output(&self) -> &[f64] {
         self.inputs.last().expect("cache has at least the input")
     }

@@ -192,8 +192,7 @@ fn main() {
 
 fn run_stdio_and_exit(server: &Server) -> ! {
     let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match run_stdio(server, stdin.lock(), stdout.lock()) {
+    match run_stdio(server, stdin.lock(), std::io::stdout()) {
         Ok(summary) => {
             eprintln!(
                 "[posetrl-serve] session done: {} requests, {} ok, {} errors",

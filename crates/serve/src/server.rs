@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -517,6 +517,11 @@ pub struct StdioSummary {
 /// `workers × queue_depth` requests are kept in flight, so concurrent
 /// batching still happens behind the ordered output.
 ///
+/// A writer thread writes each response as soon as it and every earlier
+/// one are complete, so a client that waits for each reply before
+/// sending the next request is answered. Returns once input has ended and
+/// every response is written.
+///
 /// # Errors
 ///
 /// Propagates I/O errors from the transport itself; protocol problems are
@@ -524,43 +529,59 @@ pub struct StdioSummary {
 pub fn run_stdio(
     server: &Server,
     input: impl BufRead,
-    mut output: impl Write,
+    mut output: impl Write + Send,
 ) -> std::io::Result<StdioSummary> {
-    let window = server.inner.cfg.workers * server.inner.cfg.queue_depth;
-    let mut in_flight: VecDeque<Pending> = VecDeque::new();
-    let mut summary = StdioSummary::default();
-    let drain_one = |q: &mut VecDeque<Pending>,
-                     out: &mut dyn Write,
-                     s: &mut StdioSummary|
-     -> std::io::Result<()> {
-        if let Some(p) = q.pop_front() {
-            let resp = p.wait();
-            if resp.is_ok() {
-                s.ok += 1;
-            } else {
-                s.errors += 1;
+    let window = (server.inner.cfg.workers * server.inner.cfg.queue_depth).max(1);
+    // one token per free place in the window: taken before a request is
+    // submitted, returned once its response is written
+    let (free_tx, free_rx) = sync_channel::<()>(window);
+    for _ in 0..window {
+        free_tx.send(()).expect("the window holds its own tokens");
+    }
+    let (pending_tx, pending_rx) = channel::<Pending>();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(move || -> std::io::Result<(u64, u64)> {
+            let (mut ok, mut errors) = (0, 0);
+            for pending in pending_rx {
+                let resp = pending.wait();
+                if resp.is_ok() {
+                    ok += 1;
+                } else {
+                    errors += 1;
+                }
+                output.write_all(resp.to_json().as_bytes())?;
+                output.write_all(b"\n")?;
+                output.flush()?;
+                let _ = free_tx.send(());
             }
-            out.write_all(resp.to_json().as_bytes())?;
-            out.write_all(b"\n")?;
-            out.flush()?;
-        }
-        Ok(())
-    };
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        summary.requests += 1;
-        if in_flight.len() >= window.max(1) {
-            drain_one(&mut in_flight, &mut output, &mut summary)?;
-        }
-        in_flight.push_back(server.submit(&line));
-    }
-    while !in_flight.is_empty() {
-        drain_one(&mut in_flight, &mut output, &mut summary)?;
-    }
-    Ok(summary)
+            Ok((ok, errors))
+        });
+        let mut requests = 0;
+        let read = (|| {
+            for line in input.lines() {
+                let line = line?;
+                if line.trim().is_empty() {
+                    continue;
+                }
+                // a closed channel means the writer failed; its error wins
+                if free_rx.recv().is_err() {
+                    break;
+                }
+                requests += 1;
+                if pending_tx.send(server.submit(&line)).is_err() {
+                    break;
+                }
+            }
+            Ok(())
+        })();
+        drop(pending_tx);
+        let (ok, errors) = writer.join().expect("stdio writer panicked")?;
+        read.map(|()| StdioSummary {
+            requests,
+            ok,
+            errors,
+        })
+    })
 }
 
 /// Serves JSONL sessions over a Unix domain socket, one thread per

@@ -9,7 +9,9 @@ use posetrl_serve::server::{run_stdio, Server};
 use posetrl_serve::ServeConfig;
 use posetrl_target::TargetArch;
 use posetrl_workloads::{generate, Benchmark, ProgramKind, ProgramSpec, SizeClass, Suite};
+use std::io::{BufRead, BufReader, Write};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 fn bench(name: &str, kind: ProgramKind, seed: u64) -> Benchmark {
     let spec = ProgramSpec {
@@ -178,6 +180,38 @@ fn stdio_session_answers_in_request_order() {
         Response::Err(e) => assert_eq!(e.error.kind, ErrorKind::Parse),
         Response::Ok(_) => panic!("malformed line must get an error response"),
     }
+}
+
+#[test]
+fn stdio_answers_a_client_that_waits_for_each_reply() {
+    let server = Server::new(model(), cfg(2, 4), None);
+    let module = &corpus()[0];
+    let (in_rx, in_tx) = std::io::pipe().unwrap();
+    let (out_rx, out_tx) = std::io::pipe().unwrap();
+    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        // owned by this closure, so a failed assertion below closes the
+        // input and the session still ends
+        let mut in_tx = in_tx;
+        let session = s.spawn(|| run_stdio(&server, BufReader::new(in_rx), out_tx));
+        s.spawn(move || {
+            let mut out = BufReader::new(out_rx);
+            let mut line = String::new();
+            out.read_line(&mut line).unwrap();
+            reply_tx.send(line).unwrap();
+        });
+        writeln!(in_tx, "{}", request("wait-0", module, None)).unwrap();
+        let reply = reply_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the reply must arrive while the input is still open");
+        match posetrl_serve::protocol::parse_response(reply.trim_end()).unwrap() {
+            Response::Ok(r) => assert_eq!(r.id, "wait-0"),
+            Response::Err(e) => panic!("unexpected error: {}", e.error),
+        }
+        drop(in_tx);
+        let summary = session.join().unwrap().unwrap();
+        assert_eq!((summary.requests, summary.ok, summary.errors), (1, 1, 0));
+    });
 }
 
 #[test]
