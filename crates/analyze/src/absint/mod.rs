@@ -489,7 +489,9 @@ pub fn analyze_module_with(
             posetrl_ir::digest_str(&format!("{args:?}")),
             posetrl_ir::digest_str(&cal),
         );
-        let out = mgr.absint_memo(&f.name, key, || analyze_function(f, args, summaries));
+        let out = mgr.absint.get_or_compute(&f.name, key, || {
+            std::sync::Arc::new(analyze_function(f, args, summaries))
+        });
         (out.0.clone(), out.1)
     };
 

@@ -959,7 +959,9 @@ pub fn analyze_module_cfg(
             posetrl_ir::digest_str(&format!("{i}|{}|{}", cfg.max_iters, cfg.pts_cap)),
             posetrl_ir::digest_str(&cal),
         );
-        mgr.alias_memo(&f.name, key, || analyze_function(i, f, summaries, cfg))
+        mgr.alias.get_or_compute(&f.name, key, || {
+            std::sync::Arc::new(analyze_function(i, f, summaries, cfg))
+        })
     };
 
     // Exported-summary shaping: address-taken roots may additionally be

@@ -70,7 +70,9 @@ pub fn run_all_with(
         match (mgr, globals_fp) {
             (Some(mgr), Some(gfp)) => {
                 let key = (posetrl_ir::function_fingerprint(m, f), gfp);
-                let bundle = mgr.lint_memo(key, || function_lints(m, f));
+                let bundle = mgr
+                    .lint
+                    .get_or_compute(&f.name, key, || std::sync::Arc::new(function_lints(m, f)));
                 out.extend(bundle.iter().cloned());
             }
             _ => out.append(&mut function_lints(m, f)),

@@ -658,7 +658,9 @@ pub fn analyze_module_full(
                     )),
                     posetrl_ir::digest_str(&inp),
                 );
-                mgr.depend_memo(&f.name, key, || analyze_function(f, fid, sr, ma, cfg))
+                mgr.depend.get_or_compute(&f.name, key, || {
+                    Arc::new(analyze_function(f, fid, sr, ma, cfg))
+                })
             }
         };
         funcs.insert(fid.0, (*out).clone());
@@ -1255,6 +1257,6 @@ bb3:
         let st = mgr.stats();
         assert_eq!(st.depend.misses, 1, "{st:?}");
         assert_eq!(st.depend.hits, 1, "{st:?}");
-        assert_eq!(mgr.drain_depend_recomputed(), vec!["main"]);
+        assert_eq!(mgr.depend.drain_log(), vec!["main"]);
     }
 }

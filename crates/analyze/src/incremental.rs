@@ -6,7 +6,15 @@
 //! [`IncrementalAnalysisManager`] keys each per-function result by a
 //! digest of everything that result can read, so an untouched function is
 //! a guaranteed memo hit and a touched function (plus exactly the callers
-//! whose view of it changed) recomputes:
+//! whose view of it changed) recomputes.
+//!
+//! The manager is seven public [`Memo`] fields, one per analysis class,
+//! that the analyses call directly (`mgr.absint.get_or_compute(..)`);
+//! adding a class is one field plus one line in
+//! [`IncrementalAnalysisManager::stats`]. The four interprocedural
+//! classes (absint, alias, scev, depend) log the names of the functions
+//! they recompute, which the invalidation tests drain with
+//! [`Memo::drain_log`]. The classes and their keys:
 //!
 //! - **Embeddings** — keyed by the function's arena fingerprint
 //!   ([`posetrl_ir::function_fingerprint`]) + the embedder-config digest.
@@ -24,6 +32,9 @@
 //!   propagates content-wise — a changed function recomputes, and its
 //!   callers recompute only if its *summary* actually moved (a subset of
 //!   the SCC-dependents set, never more).
+//! - **Alias/memdep function analyses** — keyed by `(function
+//!   fingerprint, fid+config digest, callee-summary digest)`, see
+//!   [`AliasKey`].
 //! - **Scev/profile function analyses** — keyed by `(function
 //!   fingerprint, fid+config digest, absint-input digest)`. The trip
 //!   refinement reads the function's own absint facts and argument
@@ -45,8 +56,9 @@
 //! **Determinism contract:** every memoized computation is a pure
 //! function of its key, so a hit returns bit-identical results to a
 //! recompute — same embeddings, same findings, same summaries — for any
-//! worker count and any interleaving. Tables are first-write-wins with
-//! FIFO eviction, mirroring the `EvalCache` discipline.
+//! worker count and any interleaving. Every class is the same bounded
+//! first-write-wins FIFO table ([`crate::memo`]) that also backs the
+//! `EvalCache` shards and the server's response store.
 //!
 //! The manager is enabled by default; `POSETRL_INCREMENTAL=0` (or
 //! `false`/`off`) disables it process-wide. Tests drive the explicit
@@ -55,10 +67,9 @@
 use crate::absint::domain::AbsVal;
 use crate::absint::FuncFacts;
 use crate::diag::Diagnostic;
+use crate::memo::{ClassStats, Memo};
 use crate::validate::Verdict;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default per-table entry bound.
 const DEFAULT_TABLE_CAPACITY: usize = 1 << 14;
@@ -90,92 +101,6 @@ pub type ScevKey = (u128, u128, u128);
 /// read, so an upstream analysis shift reaches this class content-wise.
 pub type DependKey = (u128, u128, u128);
 
-/// A cacheable validate verdict (no counterexample payload).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CachedVerdict {
-    /// The pair was proved.
-    Proved,
-    /// The pair was inconclusive, with the reason.
-    Inconclusive(String),
-}
-
-impl CachedVerdict {
-    /// Converts back into the validate [`Verdict`].
-    pub fn to_verdict(&self) -> Verdict {
-        match self {
-            CachedVerdict::Proved => Verdict::Proved,
-            CachedVerdict::Inconclusive(why) => Verdict::Inconclusive(why.clone()),
-        }
-    }
-
-    /// What to cache for `v`, if anything.
-    pub fn of(v: &Verdict) -> Option<CachedVerdict> {
-        match v {
-            Verdict::Proved => Some(CachedVerdict::Proved),
-            Verdict::Inconclusive(why) => Some(CachedVerdict::Inconclusive(why.clone())),
-            Verdict::Refuted(_) => None,
-        }
-    }
-}
-
-/// A bounded first-write-wins map with FIFO eviction.
-struct MemoTable<K, V> {
-    map: HashMap<K, V>,
-    fifo: VecDeque<K>,
-    capacity: usize,
-}
-
-impl<K: std::hash::Hash + Eq + Clone, V: Clone> MemoTable<K, V> {
-    fn new(capacity: usize) -> MemoTable<K, V> {
-        MemoTable {
-            map: HashMap::new(),
-            fifo: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn get(&self, k: &K) -> Option<V> {
-        self.map.get(k).cloned()
-    }
-
-    fn put(&mut self, k: K, v: V) {
-        if self.map.contains_key(&k) {
-            return; // first write wins: identical by purity, keep the original
-        }
-        while self.map.len() >= self.capacity {
-            match self.fifo.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-        self.fifo.push_back(k.clone());
-        self.map.insert(k, v);
-    }
-}
-
-/// Hit/miss counters of one memo class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Lookups answered from the table.
-    pub hits: u64,
-    /// Lookups that had to recompute.
-    pub misses: u64,
-}
-
-impl ClassStats {
-    /// Hit rate in [0, 1]; 0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A snapshot of every class's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
@@ -196,63 +121,39 @@ pub struct IncrementalStats {
 }
 
 impl IncrementalStats {
-    /// One-line human-readable rendering.
-    pub fn render(&self) -> String {
-        format!(
-            "incremental: embed {}/{} absint {}/{} alias {}/{} scev {}/{} depend {}/{} lint {}/{} validate {}/{} (hits/misses)",
-            self.embed.hits,
-            self.embed.misses,
-            self.absint.hits,
-            self.absint.misses,
-            self.alias.hits,
-            self.alias.misses,
-            self.scev.hits,
-            self.scev.misses,
-            self.depend.hits,
-            self.depend.misses,
-            self.lint.hits,
-            self.lint.misses,
-            self.validate.hits,
-            self.validate.misses,
-        )
+    /// Every class's counters, by class name.
+    pub fn classes(&self) -> [(&'static str, ClassStats); 7] {
+        [
+            ("embed", self.embed),
+            ("lint", self.lint),
+            ("absint", self.absint),
+            ("alias", self.alias),
+            ("scev", self.scev),
+            ("depend", self.depend),
+            ("validate", self.validate),
+        ]
     }
 }
 
-/// The shared, thread-safe memo store. See the module docs for keying
-/// and the determinism contract.
+/// The shared, thread-safe memo store: one [`Memo`] per analysis class,
+/// used directly by the analyses. See the module docs for keying and the
+/// determinism contract.
 pub struct IncrementalAnalysisManager {
-    embed: Mutex<MemoTable<EmbedKey, Arc<Vec<f64>>>>,
-    lint: Mutex<MemoTable<LintKey, Arc<Vec<Diagnostic>>>>,
-    absint: Mutex<MemoTable<AbsintKey, Arc<(FuncFacts, AbsVal)>>>,
-    alias: Mutex<MemoTable<AliasKey, Arc<crate::alias::AliasFnResult>>>,
-    scev: Mutex<MemoTable<ScevKey, Arc<crate::scev::ScevFnResult>>>,
-    depend: Mutex<MemoTable<DependKey, Arc<crate::depend::DependFnResult>>>,
-    validate: Mutex<MemoTable<ValidateKey, CachedVerdict>>,
-    embed_hits: AtomicU64,
-    embed_misses: AtomicU64,
-    lint_hits: AtomicU64,
-    lint_misses: AtomicU64,
-    absint_hits: AtomicU64,
-    absint_misses: AtomicU64,
-    alias_hits: AtomicU64,
-    alias_misses: AtomicU64,
-    scev_hits: AtomicU64,
-    scev_misses: AtomicU64,
-    depend_hits: AtomicU64,
-    depend_misses: AtomicU64,
-    validate_hits: AtomicU64,
-    validate_misses: AtomicU64,
-    // Recompute log: function names whose absint analysis actually
-    // re-ran, in recompute order. Tests drain this to assert exactly
-    // which summaries a change invalidated.
-    recomputed: Mutex<Vec<String>>,
-    // Same log for the alias/memdep class (kept separate so tests can
-    // assert on each analysis's invalidation independently).
-    alias_recomputed: Mutex<Vec<String>>,
-    // Same log for the scev/profile class.
-    scev_recomputed: Mutex<Vec<String>>,
-    // Same log for the dependence class.
-    depend_recomputed: Mutex<Vec<String>>,
+    /// Per-function embeddings.
+    pub embed: Memo<EmbedKey, Arc<Vec<f64>>>,
+    /// Per-function lint bundles.
+    pub lint: Memo<LintKey, Arc<Vec<Diagnostic>>>,
+    /// Absint function analyses (logs recomputed function names).
+    pub absint: Memo<AbsintKey, Arc<(FuncFacts, AbsVal)>>,
+    /// Alias/memdep function analyses (logs recomputed function names).
+    pub alias: Memo<AliasKey, Arc<crate::alias::AliasFnResult>>,
+    /// Scev/profile function analyses (logs recomputed function names).
+    pub scev: Memo<ScevKey, Arc<crate::scev::ScevFnResult>>,
+    /// Dependence function analyses (logs recomputed function names).
+    pub depend: Memo<DependKey, Arc<crate::depend::DependFnResult>>,
+    /// Validate obligations. Only `Proved`/`Inconclusive` verdicts are
+    /// stored; the rule sits at the single insert in `validate::refine`.
+    pub validate: Memo<ValidateKey, Verdict>,
 }
 
 impl std::fmt::Debug for IncrementalAnalysisManager {
@@ -278,31 +179,13 @@ impl IncrementalAnalysisManager {
     /// A manager bounding every table at `capacity` entries.
     pub fn with_capacity(capacity: usize) -> IncrementalAnalysisManager {
         IncrementalAnalysisManager {
-            embed: Mutex::new(MemoTable::new(capacity)),
-            lint: Mutex::new(MemoTable::new(capacity)),
-            absint: Mutex::new(MemoTable::new(capacity)),
-            alias: Mutex::new(MemoTable::new(capacity)),
-            scev: Mutex::new(MemoTable::new(capacity)),
-            depend: Mutex::new(MemoTable::new(capacity)),
-            validate: Mutex::new(MemoTable::new(capacity)),
-            embed_hits: AtomicU64::new(0),
-            embed_misses: AtomicU64::new(0),
-            lint_hits: AtomicU64::new(0),
-            lint_misses: AtomicU64::new(0),
-            absint_hits: AtomicU64::new(0),
-            absint_misses: AtomicU64::new(0),
-            alias_hits: AtomicU64::new(0),
-            alias_misses: AtomicU64::new(0),
-            scev_hits: AtomicU64::new(0),
-            scev_misses: AtomicU64::new(0),
-            depend_hits: AtomicU64::new(0),
-            depend_misses: AtomicU64::new(0),
-            validate_hits: AtomicU64::new(0),
-            validate_misses: AtomicU64::new(0),
-            recomputed: Mutex::new(Vec::new()),
-            alias_recomputed: Mutex::new(Vec::new()),
-            scev_recomputed: Mutex::new(Vec::new()),
-            depend_recomputed: Mutex::new(Vec::new()),
+            embed: Memo::new(capacity),
+            lint: Memo::new(capacity),
+            absint: Memo::logged(capacity),
+            alias: Memo::logged(capacity),
+            scev: Memo::logged(capacity),
+            depend: Memo::logged(capacity),
+            validate: Memo::new(capacity),
         }
     }
 
@@ -324,224 +207,34 @@ impl IncrementalAnalysisManager {
         Self::enabled_from_env().then(|| Arc::new(Self::new()))
     }
 
-    /// Per-function embedding memo: returns the cached vector for `key`
-    /// or computes, stores and returns it.
-    pub fn embed_memo(&self, key: EmbedKey, compute: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
-        if let Some(v) = self.embed.lock().unwrap().get(&key) {
-            self.embed_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.embed_misses.fetch_add(1, Ordering::Relaxed);
-        let v = Arc::new(compute());
-        self.embed.lock().unwrap().put(key, Arc::clone(&v));
-        v
-    }
-
-    /// Per-function lint-bundle memo.
-    pub fn lint_memo(
-        &self,
-        key: LintKey,
-        compute: impl FnOnce() -> Vec<Diagnostic>,
-    ) -> Arc<Vec<Diagnostic>> {
-        if let Some(v) = self.lint.lock().unwrap().get(&key) {
-            self.lint_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.lint_misses.fetch_add(1, Ordering::Relaxed);
-        let v = Arc::new(compute());
-        self.lint.lock().unwrap().put(key, Arc::clone(&v));
-        v
-    }
-
-    /// Absint function-analysis memo. `name` feeds the recompute log on
-    /// a miss.
-    pub fn absint_memo(
-        &self,
-        name: &str,
-        key: AbsintKey,
-        compute: impl FnOnce() -> (FuncFacts, AbsVal),
-    ) -> Arc<(FuncFacts, AbsVal)> {
-        if let Some(v) = self.absint.lock().unwrap().get(&key) {
-            self.absint_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.absint_misses.fetch_add(1, Ordering::Relaxed);
-        self.recomputed.lock().unwrap().push(name.to_string());
-        let v = Arc::new(compute());
-        self.absint.lock().unwrap().put(key, Arc::clone(&v));
-        v
-    }
-
-    /// Alias/memdep function-analysis memo. `name` feeds the alias
-    /// recompute log on a miss.
-    pub fn alias_memo(
-        &self,
-        name: &str,
-        key: AliasKey,
-        compute: impl FnOnce() -> crate::alias::AliasFnResult,
-    ) -> Arc<crate::alias::AliasFnResult> {
-        if let Some(v) = self.alias.lock().unwrap().get(&key) {
-            self.alias_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.alias_misses.fetch_add(1, Ordering::Relaxed);
-        self.alias_recomputed.lock().unwrap().push(name.to_string());
-        let v = Arc::new(compute());
-        self.alias.lock().unwrap().put(key, Arc::clone(&v));
-        v
-    }
-
-    /// Scev/profile function-analysis memo. `name` feeds the scev
-    /// recompute log on a miss.
-    pub fn scev_memo(
-        &self,
-        name: &str,
-        key: ScevKey,
-        compute: impl FnOnce() -> crate::scev::ScevFnResult,
-    ) -> Arc<crate::scev::ScevFnResult> {
-        if let Some(v) = self.scev.lock().unwrap().get(&key) {
-            self.scev_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.scev_misses.fetch_add(1, Ordering::Relaxed);
-        self.scev_recomputed.lock().unwrap().push(name.to_string());
-        let v = Arc::new(compute());
-        self.scev.lock().unwrap().put(key, Arc::clone(&v));
-        v
-    }
-
-    /// Dependence function-analysis memo. `name` feeds the depend
-    /// recompute log on a miss.
-    pub fn depend_memo(
-        &self,
-        name: &str,
-        key: DependKey,
-        compute: impl FnOnce() -> crate::depend::DependFnResult,
-    ) -> Arc<crate::depend::DependFnResult> {
-        if let Some(v) = self.depend.lock().unwrap().get(&key) {
-            self.depend_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.depend_misses.fetch_add(1, Ordering::Relaxed);
-        self.depend_recomputed
-            .lock()
-            .unwrap()
-            .push(name.to_string());
-        let v = Arc::new(compute());
-        self.depend.lock().unwrap().put(key, Arc::clone(&v));
-        v
-    }
-
-    /// Validate obligation memo: a cached `Proved`/`Inconclusive`
-    /// verdict, or `None` on a miss (the caller computes and reports
-    /// back via [`IncrementalAnalysisManager::record_validate`]).
-    pub fn validate_memo(&self, key: &ValidateKey) -> Option<CachedVerdict> {
-        let hit = self.validate.lock().unwrap().get(key);
-        match &hit {
-            Some(_) => self.validate_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.validate_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Stores a freshly computed validate verdict (refutations are never
-    /// cached).
-    pub fn record_validate(&self, key: ValidateKey, verdict: &Verdict) {
-        if let Some(cv) = CachedVerdict::of(verdict) {
-            self.validate.lock().unwrap().put(key, cv);
-        }
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> IncrementalStats {
         IncrementalStats {
-            embed: ClassStats {
-                hits: self.embed_hits.load(Ordering::Relaxed),
-                misses: self.embed_misses.load(Ordering::Relaxed),
-            },
-            lint: ClassStats {
-                hits: self.lint_hits.load(Ordering::Relaxed),
-                misses: self.lint_misses.load(Ordering::Relaxed),
-            },
-            absint: ClassStats {
-                hits: self.absint_hits.load(Ordering::Relaxed),
-                misses: self.absint_misses.load(Ordering::Relaxed),
-            },
-            alias: ClassStats {
-                hits: self.alias_hits.load(Ordering::Relaxed),
-                misses: self.alias_misses.load(Ordering::Relaxed),
-            },
-            scev: ClassStats {
-                hits: self.scev_hits.load(Ordering::Relaxed),
-                misses: self.scev_misses.load(Ordering::Relaxed),
-            },
-            depend: ClassStats {
-                hits: self.depend_hits.load(Ordering::Relaxed),
-                misses: self.depend_misses.load(Ordering::Relaxed),
-            },
-            validate: ClassStats {
-                hits: self.validate_hits.load(Ordering::Relaxed),
-                misses: self.validate_misses.load(Ordering::Relaxed),
-            },
+            embed: self.embed.stats(),
+            lint: self.lint.stats(),
+            absint: self.absint.stats(),
+            alias: self.alias.stats(),
+            scev: self.scev.stats(),
+            depend: self.depend.stats(),
+            validate: self.validate.stats(),
         }
-    }
-
-    /// Total absint analyses actually recomputed so far (the invalidation
-    /// counter hook).
-    pub fn absint_recomputes(&self) -> u64 {
-        self.absint_misses.load(Ordering::Relaxed)
-    }
-
-    /// Drains the absint recompute log: every function name whose
-    /// analysis re-ran since the last drain, in recompute order
-    /// (duplicates preserved — the SCC fixpoint legitimately revisits).
-    pub fn drain_recomputed(&self) -> Vec<String> {
-        std::mem::take(&mut *self.recomputed.lock().unwrap())
-    }
-
-    /// Total alias analyses actually recomputed so far.
-    pub fn alias_recomputes(&self) -> u64 {
-        self.alias_misses.load(Ordering::Relaxed)
-    }
-
-    /// Drains the alias recompute log (same semantics as
-    /// [`IncrementalAnalysisManager::drain_recomputed`]).
-    pub fn drain_alias_recomputed(&self) -> Vec<String> {
-        std::mem::take(&mut *self.alias_recomputed.lock().unwrap())
-    }
-
-    /// Total scev/profile analyses actually recomputed so far.
-    pub fn scev_recomputes(&self) -> u64 {
-        self.scev_misses.load(Ordering::Relaxed)
-    }
-
-    /// Drains the scev recompute log (same semantics as
-    /// [`IncrementalAnalysisManager::drain_recomputed`]).
-    pub fn drain_scev_recomputed(&self) -> Vec<String> {
-        std::mem::take(&mut *self.scev_recomputed.lock().unwrap())
-    }
-
-    /// Total dependence analyses actually recomputed so far.
-    pub fn depend_recomputes(&self) -> u64 {
-        self.depend_misses.load(Ordering::Relaxed)
-    }
-
-    /// Drains the depend recompute log (same semantics as
-    /// [`IncrementalAnalysisManager::drain_recomputed`]).
-    pub fn drain_depend_recomputed(&self) -> Vec<String> {
-        std::mem::take(&mut *self.depend_recomputed.lock().unwrap())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::refine::{memoize_verdict, Counterexample};
 
     #[test]
     fn embed_memo_hits_and_first_write_wins() {
         let mgr = IncrementalAnalysisManager::new();
-        let a = mgr.embed_memo((1, 2), || vec![1.0, 2.0]);
-        let b = mgr.embed_memo((1, 2), || panic!("must not recompute"));
+        let a = mgr
+            .embed
+            .get_or_compute("f", (1, 2), || Arc::new(vec![1.0, 2.0]));
+        let b = mgr
+            .embed
+            .get_or_compute("f", (1, 2), || panic!("must not recompute"));
         assert_eq!(a, b);
         let st = mgr.stats();
         assert_eq!((st.embed.hits, st.embed.misses), (1, 1));
@@ -551,13 +244,15 @@ mod tests {
     #[test]
     fn fifo_eviction_bounds_the_table() {
         let mgr = IncrementalAnalysisManager::with_capacity(2);
-        mgr.embed_memo((1, 0), Vec::new);
-        mgr.embed_memo((2, 0), Vec::new);
-        mgr.embed_memo((3, 0), Vec::new); // evicts (1, 0)
-        mgr.embed_memo((1, 0), Vec::new); // recomputes
+        let empty = || Arc::new(Vec::new());
+        mgr.embed.get_or_compute("f", (1, 0), empty);
+        mgr.embed.get_or_compute("f", (2, 0), empty);
+        mgr.embed.get_or_compute("f", (3, 0), empty); // evicts (1, 0)
+        mgr.embed.get_or_compute("f", (1, 0), empty); // recomputes
         let st = mgr.stats();
         assert_eq!(st.embed.misses, 4);
         assert_eq!(st.embed.hits, 0);
+        assert_eq!(mgr.embed.evictions(), 2);
     }
 
     #[test]
@@ -567,24 +262,48 @@ mod tests {
             values: Vec::new(),
             reachable: Vec::new(),
         };
-        mgr.absint_memo("f", (1, 1, 1), || (facts.clone(), AbsVal::Top));
-        mgr.absint_memo("f", (1, 1, 1), || (facts.clone(), AbsVal::Top));
-        mgr.absint_memo("g", (2, 1, 1), || (facts.clone(), AbsVal::Top));
-        assert_eq!(mgr.drain_recomputed(), vec!["f", "g"]);
-        assert!(mgr.drain_recomputed().is_empty());
-        assert_eq!(mgr.absint_recomputes(), 2);
+        let compute = || Arc::new((facts.clone(), AbsVal::Top));
+        mgr.absint.get_or_compute("f", (1, 1, 1), compute);
+        mgr.absint.get_or_compute("f", (1, 1, 1), compute);
+        mgr.absint.get_or_compute("g", (2, 1, 1), compute);
+        assert_eq!(mgr.absint.drain_log(), vec!["f", "g"]);
+        assert!(mgr.absint.drain_log().is_empty());
+        assert_eq!(mgr.stats().absint.misses, 2);
     }
 
     #[test]
     fn validate_memo_skips_refutations() {
         let mgr = IncrementalAnalysisManager::new();
-        assert!(mgr.validate_memo(&(1, 2, 3)).is_none());
-        mgr.record_validate((1, 2, 3), &Verdict::Proved);
-        assert_eq!(mgr.validate_memo(&(1, 2, 3)), Some(CachedVerdict::Proved));
-        assert_eq!(
-            CachedVerdict::of(&Verdict::Proved),
-            Some(CachedVerdict::Proved)
+        assert!(mgr.validate.get(&(1, 2, 3)).is_none());
+        memoize_verdict(&mgr, (1, 2, 3), &Verdict::Proved);
+        assert!(matches!(
+            mgr.validate.get(&(1, 2, 3)),
+            Some(Verdict::Proved)
+        ));
+        let refuted = Verdict::Refuted(Box::new(Counterexample {
+            entry: "f".into(),
+            args: Vec::new(),
+            src_obs: "ret 0".into(),
+            tgt_obs: "ret 1".into(),
+        }));
+        memoize_verdict(&mgr, (4, 5, 6), &refuted);
+        assert!(
+            mgr.validate.get(&(4, 5, 6)).is_none(),
+            "refutations are re-derived"
         );
+        assert_eq!(mgr.stats().validate, ClassStats { hits: 1, misses: 2 });
+    }
+
+    #[test]
+    fn stats_iterate_every_class() {
+        let mgr = IncrementalAnalysisManager::new();
+        mgr.lint
+            .get_or_compute("f", (1, 1), || Arc::new(Vec::new()));
+        let classes = mgr.stats().classes();
+        assert_eq!(classes.len(), 7);
+        let misses: Vec<_> = classes.iter().map(|(name, c)| (*name, c.misses)).collect();
+        assert!(misses.contains(&("lint", 1)));
+        assert_eq!(misses.iter().map(|(_, m)| m).sum::<u64>(), 1);
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod depend;
 pub mod diag;
 pub mod exit_codes;
 pub mod incremental;
+pub mod memo;
 pub mod profile;
 pub mod sanitizer;
 pub mod scev;
@@ -46,7 +47,8 @@ pub use analyses::{run_all, run_all_with};
 pub use dataflow::{solve, BitSet, DataflowAnalysis, Direction, Fixpoint, JoinSemiLattice};
 pub use depend::{DepKind, DependConfig, DependFnResult, Dependence, LoopDepend, ModuleDepend};
 pub use diag::{codes, Diagnostic, Severity};
-pub use incremental::{CachedVerdict, ClassStats, IncrementalAnalysisManager, IncrementalStats};
+pub use incremental::{IncrementalAnalysisManager, IncrementalStats};
+pub use memo::{BoundedMap, ClassStats, Memo};
 pub use profile::{FnProfile, ModuleProfile};
 pub use sanitizer::{
     check_sanitize_env, expect_verified, MiscompileReport, ParseLevelError, SanitizeLevel,

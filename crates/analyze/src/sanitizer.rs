@@ -252,7 +252,7 @@ pub struct Sanitizer {
     // Optional per-function memo store: set once at wiring time, shared
     // with the evaluation cache / environments so every lint + validate
     // pass reuses untouched-function results (bit-identical contract).
-    incremental: std::sync::Mutex<Option<std::sync::Arc<IncrementalAnalysisManager>>>,
+    incremental: parking_lot::Mutex<Option<std::sync::Arc<IncrementalAnalysisManager>>>,
 }
 
 impl Sanitizer {
@@ -279,12 +279,12 @@ impl Sanitizer {
     /// Attaches (or detaches) the incremental analysis manager every
     /// subsequent lint / validate pass memoizes through.
     pub fn set_incremental(&self, mgr: Option<std::sync::Arc<IncrementalAnalysisManager>>) {
-        *self.incremental.lock().unwrap() = mgr;
+        *self.incremental.lock() = mgr;
     }
 
     /// The attached incremental manager, if any.
     pub fn incremental(&self) -> Option<std::sync::Arc<IncrementalAnalysisManager>> {
-        self.incremental.lock().unwrap().clone()
+        self.incremental.lock().clone()
     }
 
     /// Snapshot of the cumulative counters.

@@ -805,8 +805,8 @@ pub fn analyze_module_cfg_absint(
                     )),
                     posetrl_ir::digest_str(&inp),
                 );
-                mgr.scev_memo(&f.name, key, || {
-                    analyze_function(f, facts, summary, &noreturn, cfg)
+                mgr.scev.get_or_compute(&f.name, key, || {
+                    Arc::new(analyze_function(f, facts, summary, &noreturn, cfg))
                 })
             }
         };

@@ -196,8 +196,7 @@ pub fn validate_transform_with(
             _ => None,
         };
         if let (Some(mgr), Some(key)) = (mgr, &memo_key) {
-            if let Some(cv) = mgr.validate_memo(key) {
-                let verdict = cv.to_verdict();
+            if let Some(verdict) = mgr.validate.get(key) {
                 if trace {
                     eprintln!(
                         "[validate] @{name} [{}] {} (memo) in {:?}",
@@ -249,11 +248,8 @@ pub fn validate_transform_with(
             }
             validate_pair(src, tgt, sid, tid, cfg)
         };
-        // Cache the pre-escalation verdict: `Proved`/`Inconclusive` are
-        // pure functions of the closure digests (escalation only fires
-        // on `Refuted`, which is never cached).
         if let (Some(mgr), Some(key)) = (mgr, memo_key) {
-            mgr.record_validate(key, &verdict);
+            memoize_verdict(mgr, key, &verdict);
         }
         // Per-function refutation is only the final word for functions
         // whose standalone behaviour must be preserved: externally
@@ -294,6 +290,20 @@ pub fn validate_transform_with(
         out.funcs.push(FuncVerdict { name, verdict });
     }
     out
+}
+
+/// Stores a pre-escalation verdict in the validate memo. `Proved` and
+/// `Inconclusive` are pure functions of the closure digests; a `Refuted`
+/// verdict carries a counterexample (and triggers escalation), so it is
+/// never cached and always re-derived.
+pub(crate) fn memoize_verdict(
+    mgr: &crate::incremental::IncrementalAnalysisManager,
+    key: crate::incremental::ValidateKey,
+    verdict: &Verdict,
+) {
+    if !matches!(verdict, Verdict::Refuted(_)) {
+        mgr.validate.insert(key, verdict.clone());
+    }
 }
 
 /// True when `name`'s standalone behaviour must be preserved by every

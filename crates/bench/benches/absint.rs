@@ -28,7 +28,7 @@ fn bench_analyze_module_incremental(c: &mut Criterion) {
     c.bench_function("absint_analyze_module_incremental_warm", |b| {
         b.iter(|| black_box(absint::analyze_module_with(black_box(&m), Some(&mgr))))
     });
-    eprintln!("[absint] {}", mgr.stats().render());
+    eprintln!("[absint] {:?}", mgr.stats());
 }
 
 fn bench_features(c: &mut Criterion) {

@@ -28,7 +28,7 @@ fn bench_analyze_module_incremental(c: &mut Criterion) {
     c.bench_function("depend_analyze_module_incremental_warm", |b| {
         b.iter(|| black_box(depend::analyze_module_with(black_box(&m), Some(&mgr))))
     });
-    eprintln!("[depend] {}", mgr.stats().render());
+    eprintln!("[depend] {:?}", mgr.stats());
 }
 
 fn bench_lints(c: &mut Criterion) {

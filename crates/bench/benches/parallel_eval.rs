@@ -97,7 +97,7 @@ fn bench_incremental_episode(c: &mut Criterion) {
             })
         });
         if let Some(mgr) = &mgr {
-            eprintln!("[parallel_eval] {}", mgr.stats().render());
+            eprintln!("[parallel_eval] {:?}", mgr.stats());
         }
     }
 }

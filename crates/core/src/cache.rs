@@ -18,18 +18,20 @@
 //! the determinism contract `tests/parallel_determinism.rs` locks down.
 //!
 //! The cache is shared across worker threads and internally **sharded** by
-//! the module hash: each shard owns a `parking_lot`-style mutex around a
-//! FIFO-evicting map plus its own hit/miss/eviction counters, so
+//! the module hash: each shard owns a `parking_lot`-style mutex around one
+//! bounded first-write-wins FIFO table ([`posetrl_analyze::BoundedMap`],
+//! the memo core every content-addressed cache shares) holding all three
+//! classes, plus its own per-class hit/miss counters, so
 //! `posetrl-serve` can route whole requests to the shard that owns their
 //! module and report shard balance. [`EvalCache::with_capacity`] keeps the
 //! original single-shard behaviour (one global FIFO); [`EvalCache::sharded`]
 //! splits the capacity across a fixed shard count.
 
 use parking_lot::Mutex;
+use posetrl_analyze::BoundedMap;
 use posetrl_ir::{Module, ModuleHash};
 use posetrl_target::TargetArch;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -110,35 +112,28 @@ pub struct MeasureMemo {
     pub throughput: f64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Entry {
     Step(Arc<StepMemo>),
     Measure(MeasureMemo),
     Embed(Arc<Vec<f64>>),
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<Key, Entry>,
-    fifo: VecDeque<Key>,
-}
-
-/// One shard: its own map, FIFO queue, and counters.
+/// One shard: one bounded table shared by the three classes, and
+/// per-class counters.
 #[derive(Debug)]
 struct Shard {
-    inner: Mutex<Inner>,
+    table: Mutex<BoundedMap<Key, Entry>>,
     hits: [AtomicU64; 3],
     misses: [AtomicU64; 3],
-    evictions: AtomicU64,
 }
 
 impl Shard {
-    fn new() -> Shard {
+    fn new(capacity: usize) -> Shard {
         Shard {
-            inner: Mutex::new(Inner::default()),
-            hits: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            misses: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            evictions: AtomicU64::new(0),
+            table: Mutex::new(BoundedMap::new(capacity)),
+            hits: Default::default(),
+            misses: Default::default(),
         }
     }
 
@@ -149,6 +144,7 @@ impl Shard {
 
     fn stats(&self) -> CacheStats {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let table = self.table.lock();
         CacheStats {
             step_hits: load(&self.hits[CacheClass::Step.index()]),
             step_misses: load(&self.misses[CacheClass::Step.index()]),
@@ -156,8 +152,8 @@ impl Shard {
             measure_misses: load(&self.misses[CacheClass::Measure.index()]),
             embed_hits: load(&self.hits[CacheClass::Embed.index()]),
             embed_misses: load(&self.misses[CacheClass::Embed.index()]),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.inner.lock().map.len() as u64,
+            evictions: table.evictions(),
+            entries: table.len() as u64,
         }
     }
 }
@@ -273,7 +269,7 @@ impl EvalCache {
         let n = shards.max(1);
         let per_shard = total_capacity.div_ceil(n).max(1);
         EvalCache {
-            shards: (0..n).map(|_| Shard::new()).collect(),
+            shards: (0..n).map(|_| Shard::new(per_shard)).collect(),
             shard_capacity: per_shard,
             incremental: None,
         }
@@ -325,34 +321,13 @@ impl EvalCache {
 
     fn get(&self, key: &Key) -> Option<Entry> {
         let shard = self.shard_for(key);
-        let inner = shard.inner.lock();
-        let found = inner.map.get(key).map(|e| match e {
-            Entry::Step(m) => Entry::Step(Arc::clone(m)),
-            Entry::Measure(m) => Entry::Measure(*m),
-            Entry::Embed(v) => Entry::Embed(Arc::clone(v)),
-        });
-        drop(inner);
+        let found = shard.table.lock().get(key).cloned();
         shard.record(key.class(), found.is_some());
         found
     }
 
     fn put(&self, key: Key, entry: Entry) {
-        let shard = self.shard_for(&key);
-        let mut inner = shard.inner.lock();
-        if inner.map.contains_key(&key) {
-            return; // first write wins; concurrent workers computed the same value
-        }
-        while inner.map.len() >= self.shard_capacity {
-            match inner.fifo.pop_front() {
-                Some(old) => {
-                    inner.map.remove(&old);
-                    shard.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
-        inner.fifo.push_back(key.clone());
-        inner.map.insert(key, entry);
+        self.shard_for(&key).table.lock().insert(key, entry);
     }
 
     /// Looks up the memoized result of applying `action` to the state

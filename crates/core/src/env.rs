@@ -263,25 +263,6 @@ impl PhaseEnv {
         self.module.as_ref().expect("environment not reset")
     }
 
-    /// Measures `m` (hashed `h`), memoized when a cache is attached.
-    fn measure(&self, h: Option<ModuleHash>, m: &Module) -> MeasureMemo {
-        if let (Some(cache), Some(h)) = (&self.cache, h) {
-            if let Some(memo) = cache.get_measure(h, self.config.arch) {
-                return memo;
-            }
-        }
-        let report = mca::analyze(m, self.config.arch);
-        let memo = MeasureMemo {
-            size: object_size(m, self.config.arch).total,
-            flat_cycles: report.flat_cycles,
-            throughput: report.throughput,
-        };
-        if let (Some(cache), Some(h)) = (&self.cache, h) {
-            cache.put_measure(h, self.config.arch, memo);
-        }
-        memo
-    }
-
     /// Encodes `m` (hashed `h`) into a state, memoized when caching.
     fn encode_memo(&self, h: Option<ModuleHash>, m: &Module) -> Vec<f64> {
         // the high bit distinguishes feature-extended embeddings from plain
@@ -303,7 +284,11 @@ impl PhaseEnv {
     /// initial state.
     pub fn reset(&mut self, module: Module) -> Vec<f64> {
         self.cur_hash = self.cache.as_ref().map(|_| module_hash(&module));
-        let meas = self.measure(self.cur_hash, &module);
+        let meas = measure(
+            self.cache.as_deref().zip(self.cur_hash),
+            &module,
+            self.config.arch,
+        );
         let size = meas.size as f64;
         let cycles = meas.flat_cycles;
         self.base_size = size.max(1.0);
@@ -358,7 +343,11 @@ impl PhaseEnv {
         }
 
         let module = self.module.as_ref().unwrap();
-        let meas = self.measure(self.cur_hash, module);
+        let meas = measure(
+            self.cache.as_deref().zip(self.cur_hash),
+            module,
+            self.config.arch,
+        );
         let size = meas.size as f64;
         let cycles = meas.flat_cycles;
 
@@ -425,7 +414,8 @@ impl PhaseEnv {
         let mut v = match (self.config.encoding, &self.incr) {
             (StateEncoding::Ir2Vec, Some(mgr)) => self.embedder.embed_module_with(m, |e, f| {
                 let key = (function_fingerprint(m, f), self.embed_cfg_digest);
-                mgr.embed_memo(key, || e.embed_function(f))
+                mgr.embed
+                    .get_or_compute(&f.name, key, || Arc::new(e.embed_function(f)))
             }),
             (StateEncoding::Ir2Vec, None) => self.embedder.embed_module(m),
             (StateEncoding::Histogram, _) => histogram_state(m, self.embedder.dim()),
@@ -466,6 +456,30 @@ impl PhaseEnv {
         };
         self.embedder.dim() + extra
     }
+}
+
+/// Measures `m` on `arch`: object size, flat MCA cycles and throughput.
+/// With `memo = Some((cache, h))` the result is memoized in `cache` under
+/// the module hash `h`. The environment and `posetrl-serve` both measure
+/// through this one function, so their numbers are bit-identical.
+pub fn measure(
+    memo: Option<(&EvalCache, ModuleHash)>,
+    m: &Module,
+    arch: TargetArch,
+) -> MeasureMemo {
+    if let Some(hit) = memo.and_then(|(cache, h)| cache.get_measure(h, arch)) {
+        return hit;
+    }
+    let report = mca::analyze(m, arch);
+    let meas = MeasureMemo {
+        size: object_size(m, arch).total,
+        flat_cycles: report.flat_cycles,
+        throughput: report.throughput,
+    };
+    if let Some((cache, h)) = memo {
+        cache.put_measure(h, arch, meas);
+    }
+    meas
 }
 
 /// The expert-feature baseline state: hashed opcode histogram, normalized.

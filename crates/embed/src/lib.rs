@@ -35,10 +35,10 @@
 //! assert_eq!(v.len(), posetrl_embed::DIM);
 //! ```
 
+use parking_lot::Mutex;
 use posetrl_ir::{Function, InstId, Module, Ty, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Embedding dimensionality (the paper uses IR2Vec's 300-d program level).
 pub const DIM: usize = 300;
@@ -70,7 +70,7 @@ impl Vocabulary {
 
     /// The vector for `token` (cached; deterministic across runs).
     pub fn vector(&self, token: &str) -> Vec<f64> {
-        if let Some(v) = self.cache.lock().unwrap().get(token) {
+        if let Some(v) = self.cache.lock().get(token) {
             return v.clone();
         }
         let mut state = self.seed ^ fnv1a(token);
@@ -85,10 +85,7 @@ impl Vocabulary {
         for x in &mut v {
             *x /= norm;
         }
-        self.cache
-            .lock()
-            .unwrap()
-            .insert(token.to_string(), v.clone());
+        self.cache.lock().insert(token.to_string(), v.clone());
         v
     }
 }

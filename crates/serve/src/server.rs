@@ -17,47 +17,30 @@
 //!   request properties, never wall-clock, so a given request stream
 //!   always produces the same accepted/rejected partition.
 //! - **Content-addressed response store.** Results are memoized by
-//!   `(module_hash, arch, steps)`; a repeated module is a pure store hit
-//!   that touches neither the worker pool nor the network.
+//!   `(module_hash, arch, steps)` in a bounded [`Memo`] (the memo type
+//!   behind every content-addressed cache); a repeated module is a pure
+//!   store hit that touches neither the worker pool nor the network.
 
 use crate::batcher::{BatchStats, Batcher};
 use crate::config::ServeConfig;
 use crate::protocol::{parse_request, ErrorKind, OkResponse, Response};
 use posetrl::cache::MeasureMemo;
-use posetrl::env::PhaseEnv;
+use posetrl::env::{measure, PhaseEnv};
 use posetrl::{CacheStats, EvalCache, TrainedModel};
-use posetrl_analyze::Sanitizer;
+use posetrl_analyze::{ClassStats, Memo, Sanitizer};
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::printer::print_module;
 use posetrl_ir::{module_hash, Module, ModuleHash};
-use posetrl_target::{mca, size::object_size, TargetArch};
-use std::collections::{HashMap, VecDeque};
+use posetrl_target::TargetArch;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 type StoreKey = (ModuleHash, TargetArch, u64);
-
-#[derive(Clone)]
-struct StoredResult {
-    module: Arc<String>,
-    actions: Arc<Vec<u64>>,
-    size_before: u64,
-    size_after: u64,
-    cycles_before: f64,
-    cycles_after: f64,
-    shard: u64,
-}
-
-#[derive(Default)]
-struct Store {
-    map: HashMap<StoreKey, StoredResult>,
-    fifo: VecDeque<StoreKey>,
-}
 
 struct Job {
     id: String,
@@ -76,9 +59,9 @@ struct Inner {
     cache: Arc<EvalCache>,
     sanitizer: Option<Arc<Sanitizer>>,
     batcher: Batcher,
-    store: Mutex<Store>,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
+    /// Completed responses; a hit is re-issued under the new request's
+    /// id and timing.
+    store: Memo<StoreKey, Arc<OkResponse>>,
     requests: AtomicU64,
     ok: AtomicU64,
     errors: AtomicU64,
@@ -111,12 +94,8 @@ pub struct ServerStats {
 impl ServerStats {
     /// Response-store hit rate in `[0, 1]` (0 when idle).
     pub fn store_hit_rate(&self) -> f64 {
-        let total = self.store_hits + self.store_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.store_hits as f64 / total as f64
-        }
+        let (hits, misses) = (self.store_hits, self.store_misses);
+        ClassStats { hits, misses }.hit_rate()
     }
 }
 
@@ -184,9 +163,7 @@ impl Server {
             cache,
             sanitizer,
             batcher,
-            store: Mutex::new(Store::default()),
-            store_hits: AtomicU64::new(0),
-            store_misses: AtomicU64::new(0),
+            store: Memo::new(cfg.store_capacity),
             requests: AtomicU64::new(0),
             ok: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -293,30 +270,15 @@ impl Server {
         let hash = module_hash(&module);
         let shard = inner.cache.shard_of(hash);
         // content-addressed store: a repeat is a pure hit
-        if let Some(hit) = inner
-            .store
-            .lock()
-            .expect("store lock")
-            .map
-            .get(&(hash, req.arch, steps))
-        {
-            let hit = hit.clone();
-            inner.store_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = inner.store.get(&(hash, req.arch, steps)) {
             return Some(Response::Ok(OkResponse {
                 id: req.id,
-                module: (*hit.module).clone(),
-                actions: (*hit.actions).clone(),
-                size_before: hit.size_before,
-                size_after: hit.size_after,
-                cycles_before: hit.cycles_before,
-                cycles_after: hit.cycles_after,
                 wall_us: start.elapsed().as_micros() as u64,
                 cached: true,
-                shard: hit.shard,
                 batch: 0,
+                ..(*hit).clone()
             }));
         }
-        inner.store_misses.fetch_add(1, Ordering::Relaxed);
         let job = Job {
             id: req.id,
             module,
@@ -359,13 +321,14 @@ impl Server {
     /// Counter snapshot across the pool.
     pub fn stats(&self) -> ServerStats {
         let i = &self.inner;
+        let store = i.store.stats();
         ServerStats {
             requests: i.requests.load(Ordering::Relaxed),
             ok: i.ok.load(Ordering::Relaxed),
             errors: i.errors.load(Ordering::Relaxed),
             overloads: i.overloads.load(Ordering::Relaxed),
-            store_hits: i.store_hits.load(Ordering::Relaxed),
-            store_misses: i.store_misses.load(Ordering::Relaxed),
+            store_hits: store.hits,
+            store_misses: store.misses,
             cache: i.cache.stats(),
             shards: i.cache.shard_stats(),
             batch: i.batcher.stats(),
@@ -382,23 +345,6 @@ impl Drop for Server {
     }
 }
 
-/// Measures `m` through the shared cache (bit-identical to the env's own
-/// measurement path and memoized under the same key).
-fn measured(cache: &EvalCache, m: &Module, arch: TargetArch) -> MeasureMemo {
-    let h = module_hash(m);
-    if let Some(memo) = cache.get_measure(h, arch) {
-        return memo;
-    }
-    let report = mca::analyze(m, arch);
-    let memo = MeasureMemo {
-        size: object_size(m, arch).total,
-        flat_cycles: report.flat_cycles,
-        throughput: report.throughput,
-    };
-    cache.put_measure(h, arch, memo);
-    memo
-}
-
 struct RolloutOut {
     module_text: String,
     actions: Vec<u64>,
@@ -411,7 +357,7 @@ fn rollout(inner: &Inner, job: &Job) -> RolloutOut {
     let mut env_cfg = inner.model.env.clone();
     env_cfg.arch = job.arch;
     env_cfg.episode_len = job.steps as usize;
-    let before = measured(&inner.cache, &job.module, job.arch);
+    let before = measure(Some((&inner.cache, job.hash)), &job.module, job.arch);
     let mut env = PhaseEnv::with_cache(
         env_cfg,
         inner.model.actions.clone(),
@@ -431,7 +377,11 @@ fn rollout(inner: &Inner, job: &Job) -> RolloutOut {
             break;
         }
     }
-    let after = measured(&inner.cache, env.module(), job.arch);
+    let after = measure(
+        Some((&inner.cache, module_hash(env.module()))),
+        env.module(),
+        job.arch,
+    );
     RolloutOut {
         module_text: print_module(env.module()),
         actions: env.applied_actions().iter().map(|&a| a as u64).collect(),
@@ -445,45 +395,23 @@ fn process(inner: &Arc<Inner>, job: Job) -> Response {
     let out = catch_unwind(AssertUnwindSafe(|| rollout(inner, &job)));
     match out {
         Ok(out) => {
-            let stored = StoredResult {
-                module: Arc::new(out.module_text),
-                actions: Arc::new(out.actions),
+            let resp = OkResponse {
+                id: job.id,
+                module: out.module_text,
+                actions: out.actions,
                 size_before: out.before.size,
                 size_after: out.after.size,
                 cycles_before: out.before.flat_cycles,
                 cycles_after: out.after.flat_cycles,
-                shard: job.shard as u64,
-            };
-            {
-                let mut store = inner.store.lock().expect("store lock");
-                let key = (job.hash, job.arch, job.steps);
-                if !store.map.contains_key(&key) {
-                    while store.map.len() >= inner.cfg.store_capacity {
-                        match store.fifo.pop_front() {
-                            Some(old) => {
-                                store.map.remove(&old);
-                            }
-                            None => break,
-                        }
-                    }
-                    store.fifo.push_back(key);
-                    store.map.insert(key, stored.clone());
-                }
-            }
-            inner.ok.fetch_add(1, Ordering::Relaxed);
-            Response::Ok(OkResponse {
-                id: job.id,
-                module: (*stored.module).clone(),
-                actions: (*stored.actions).clone(),
-                size_before: stored.size_before,
-                size_after: stored.size_after,
-                cycles_before: stored.cycles_before,
-                cycles_after: stored.cycles_after,
                 wall_us: job.start.elapsed().as_micros() as u64,
                 cached: false,
-                shard: stored.shard,
+                shard: job.shard as u64,
                 batch: out.max_batch,
-            })
+            };
+            let key = (job.hash, job.arch, job.steps);
+            inner.store.insert(key, Arc::new(resp.clone()));
+            inner.ok.fetch_add(1, Ordering::Relaxed);
+            Response::Ok(resp)
         }
         Err(panic) => {
             inner.errors.fetch_add(1, Ordering::Relaxed);

@@ -148,6 +148,30 @@ fn repeats_are_pure_store_hits() {
 }
 
 #[test]
+fn a_full_store_evicts_its_oldest_response() {
+    let server = Server::new(
+        model(),
+        ServeConfig {
+            store_capacity: 1,
+            ..cfg(1, 8)
+        },
+        None,
+    );
+    let modules = corpus();
+    let (a, b) = (&modules[0], &modules[1]);
+    let first = ok(server.handle(&request("a1", a, None)));
+    assert!(!ok(server.handle(&request("b", b, None))).cached);
+    let again = ok(server.handle(&request("a2", a, None)));
+    assert!(!again.cached, "B's response must have evicted A's");
+    assert_eq!(
+        first.module, again.module,
+        "a recomputed response is bit-identical"
+    );
+    let stats = server.stats();
+    assert_eq!((stats.store_hits, stats.store_misses), (0, 3));
+}
+
+#[test]
 fn stdio_session_answers_in_request_order() {
     let server = Server::new(model(), cfg(2, 4), None);
     let corpus = corpus();

@@ -34,6 +34,7 @@ use posetrl_odg::ActionSpace;
 use posetrl_opt::manager::PassManager;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Every checked-in `.pir` module: examples plus the golden corpora.
 fn corpus() -> Vec<(String, Module)> {
@@ -76,9 +77,10 @@ fn embed_incremental(
     mgr: &IncrementalAnalysisManager,
 ) -> Vec<f64> {
     embedder.embed_module_with(m, |e, f| {
-        mgr.embed_memo((function_fingerprint(m, f), cfg_digest), || {
-            e.embed_function(f)
-        })
+        mgr.embed
+            .get_or_compute(&f.name, (function_fingerprint(m, f), cfg_digest), || {
+                Arc::new(e.embed_function(f))
+            })
     })
 }
 
@@ -226,45 +228,45 @@ fn warm_replay_recomputes_nothing() {
         let mgr = IncrementalAnalysisManager::new();
         let _ = absint::analyze_module_with(m, Some(&mgr));
         assert!(
-            !mgr.drain_recomputed().is_empty(),
+            !mgr.absint.drain_log().is_empty(),
             "{name}: cold run must analyze something"
         );
         let _ = absint::analyze_module_with(m, Some(&mgr));
         assert_eq!(
-            mgr.drain_recomputed(),
+            mgr.absint.drain_log(),
             Vec::<String>::new(),
             "{name}: warm replay must be all memo hits"
         );
         let _ = alias::analyze_module_with(m, Some(&mgr));
         assert!(
-            !mgr.drain_alias_recomputed().is_empty(),
+            !mgr.alias.drain_log().is_empty(),
             "{name}: cold alias run must analyze something"
         );
         let _ = alias::analyze_module_with(m, Some(&mgr));
         assert_eq!(
-            mgr.drain_alias_recomputed(),
+            mgr.alias.drain_log(),
             Vec::<String>::new(),
             "{name}: warm alias replay must be all memo hits"
         );
         let _ = scev::analyze_module_with(m, Some(&mgr));
         assert!(
-            !mgr.drain_scev_recomputed().is_empty(),
+            !mgr.scev.drain_log().is_empty(),
             "{name}: cold scev run must analyze something"
         );
         let _ = scev::analyze_module_with(m, Some(&mgr));
         assert_eq!(
-            mgr.drain_scev_recomputed(),
+            mgr.scev.drain_log(),
             Vec::<String>::new(),
             "{name}: warm scev replay must be all memo hits"
         );
         let _ = depend::analyze_module_with(m, Some(&mgr));
         assert!(
-            !mgr.drain_depend_recomputed().is_empty(),
+            !mgr.depend.drain_log().is_empty(),
             "{name}: cold depend run must analyze something"
         );
         let _ = depend::analyze_module_with(m, Some(&mgr));
         assert_eq!(
-            mgr.drain_depend_recomputed(),
+            mgr.depend.drain_log(),
             Vec::<String>::new(),
             "{name}: warm depend replay must be all memo hits"
         );
@@ -281,7 +283,7 @@ fn recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     let m0 = parse_module(base).expect("base fixture parses");
     let mgr = IncrementalAnalysisManager::new();
     let cold = absint::analyze_module_with(&m0, Some(&mgr));
-    mgr.drain_recomputed();
+    mgr.absint.drain_log();
     let m1 = parse_module(text).expect("edited fixture parses");
     let inc = absint::analyze_module_with(&m1, Some(&mgr));
     assert_eq!(
@@ -292,7 +294,7 @@ fn recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     if base == text {
         assert_eq!(cold, inc);
     }
-    mgr.drain_recomputed().into_iter().collect()
+    mgr.absint.drain_log().into_iter().collect()
 }
 
 const CHAIN: &str = "module \"chain\"\n\n\
@@ -391,7 +393,7 @@ fn alias_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     let m0 = parse_module(base).expect("base fixture parses");
     let mgr = IncrementalAnalysisManager::new();
     let cold = alias::analyze_module_with(&m0, Some(&mgr));
-    mgr.drain_alias_recomputed();
+    mgr.alias.drain_log();
     let m1 = parse_module(text).expect("edited fixture parses");
     let inc = alias::analyze_module_with(&m1, Some(&mgr));
     assert_eq!(
@@ -402,7 +404,7 @@ fn alias_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     if base == text {
         assert_eq!(cold, inc);
     }
-    mgr.drain_alias_recomputed().into_iter().collect()
+    mgr.alias.drain_log().into_iter().collect()
 }
 
 const ACHAIN: &str = "module \"achain\"\n\n\
@@ -460,7 +462,7 @@ fn scev_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     let m0 = parse_module(base).expect("base fixture parses");
     let mgr = IncrementalAnalysisManager::new();
     let cold = scev::analyze_module_with(&m0, Some(&mgr));
-    mgr.drain_scev_recomputed();
+    mgr.scev.drain_log();
     let m1 = parse_module(text).expect("edited fixture parses");
     let inc = scev::analyze_module_with(&m1, Some(&mgr));
     assert_eq!(
@@ -471,7 +473,7 @@ fn scev_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     if base == text {
         assert_eq!(cold, inc);
     }
-    mgr.drain_scev_recomputed().into_iter().collect()
+    mgr.scev.drain_log().into_iter().collect()
 }
 
 const SCHAIN: &str = "module \"schain\"\n\n\
@@ -526,7 +528,7 @@ fn depend_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     let m0 = parse_module(base).expect("base fixture parses");
     let mgr = IncrementalAnalysisManager::new();
     let cold = depend::analyze_module_with(&m0, Some(&mgr));
-    mgr.drain_depend_recomputed();
+    mgr.depend.drain_log();
     let m1 = parse_module(text).expect("edited fixture parses");
     let inc = depend::analyze_module_with(&m1, Some(&mgr));
     assert_eq!(
@@ -537,7 +539,7 @@ fn depend_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     if base == text {
         assert_eq!(cold, inc);
     }
-    mgr.drain_depend_recomputed().into_iter().collect()
+    mgr.depend.drain_log().into_iter().collect()
 }
 
 const DCHAIN: &str = "module \"dchain\"\n\n\
@@ -658,7 +660,7 @@ fn incremental_sweep_archives_mismatches_and_speedup() {
     let mut mismatch_names: Vec<String> = Vec::new();
     let mut full_ns = 0u128;
     let mut inc_ns = 0u128;
-    let mut agg_stats = posetrl_analyze::IncrementalStats::default();
+    let mut agg_stats: BTreeMap<&str, posetrl_analyze::ClassStats> = BTreeMap::new();
 
     for b in posetrl_workloads::training_suite().iter().step_by(step) {
         modules += 1;
@@ -727,36 +729,24 @@ fn incremental_sweep_archives_mismatches_and_speedup() {
                 mismatch_names.push(format!("{} state {i}", b.name));
             }
         }
-        let s = mgr.stats();
-        agg_stats.embed.hits += s.embed.hits;
-        agg_stats.embed.misses += s.embed.misses;
-        agg_stats.lint.hits += s.lint.hits;
-        agg_stats.lint.misses += s.lint.misses;
-        agg_stats.absint.hits += s.absint.hits;
-        agg_stats.absint.misses += s.absint.misses;
-        agg_stats.alias.hits += s.alias.hits;
-        agg_stats.alias.misses += s.alias.misses;
-        agg_stats.scev.hits += s.scev.hits;
-        agg_stats.scev.misses += s.scev.misses;
-        agg_stats.depend.hits += s.depend.hits;
-        agg_stats.depend.misses += s.depend.misses;
+        for (class, c) in mgr.stats().classes() {
+            let agg = agg_stats.entry(class).or_default();
+            agg.hits += c.hits;
+            agg.misses += c.misses;
+        }
     }
 
     let speedup = full_ns as f64 / inc_ns.max(1) as f64;
-    let class_json = |c: posetrl_analyze::ClassStats| {
-        serde_json::json!({
-            "hits": c.hits,
-            "misses": c.misses,
-        })
-    };
-    let memo = serde_json::json!({
-        "embed": class_json(agg_stats.embed),
-        "lint": class_json(agg_stats.lint),
-        "absint": class_json(agg_stats.absint),
-        "alias": class_json(agg_stats.alias),
-        "scev": class_json(agg_stats.scev),
-        "depend": class_json(agg_stats.depend),
-    });
+    let memo = serde_json::Value::Object(
+        ["embed", "lint", "absint", "alias", "scev", "depend"]
+            .into_iter()
+            .map(|class| {
+                let c = agg_stats[class];
+                let json = serde_json::json!({ "hits": c.hits, "misses": c.misses });
+                (class.to_string(), json)
+            })
+            .collect(),
+    );
     let payload = serde_json::json!({
         "modules": modules,
         "states": states,
@@ -775,8 +765,7 @@ fn incremental_sweep_archives_mismatches_and_speedup() {
     .unwrap();
     eprintln!(
         "[incremental-sweep] {modules} modules / {states} states: \
-         {mismatches} mismatches, warm speedup {speedup:.2}x ({})",
-        agg_stats.render()
+         {mismatches} mismatches, warm speedup {speedup:.2}x ({agg_stats:?})"
     );
 
     assert_eq!(
