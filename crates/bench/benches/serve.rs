@@ -1,5 +1,5 @@
-//! Benchmarks of the serving stack: batched vs. solo NN inference (the
-//! one-matmul-for-N-states claim) and protocol encode/decode cost per
+//! Benchmarks of the serving stack: policy inference as a serve worker
+//! runs it (one state per decision) and protocol encode/decode cost per
 //! request line.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -8,7 +8,7 @@ use posetrl_serve::protocol::{parse_request, Request};
 use posetrl_target::TargetArch;
 use std::hint::black_box;
 
-fn bench_batched_inference(c: &mut Criterion) {
+fn bench_inference(c: &mut Criterion) {
     let cfg = DqnConfig {
         state_dim: 300,
         n_actions: 34,
@@ -30,9 +30,6 @@ fn bench_batched_inference(c: &mut Criterion) {
             }
         })
     });
-    c.bench_function("policy_act_greedy_batch16", |b| {
-        b.iter(|| black_box(policy.act_greedy_batch(black_box(&states))))
-    });
 }
 
 fn bench_protocol(c: &mut Criterion) {
@@ -53,5 +50,5 @@ fn bench_protocol(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_batched_inference, bench_protocol);
+criterion_group!(benches, bench_inference, bench_protocol);
 criterion_main!(benches);

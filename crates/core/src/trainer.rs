@@ -174,16 +174,23 @@ impl TrainedModel {
         if sanitizer.is_some() {
             env.set_sanitizer(sanitizer);
         }
+        self.rollout(&mut env, module);
+        (env.module().clone(), env.applied_actions().to_vec())
+    }
+
+    /// The greedy inference loop: resets `env` on `module` and applies
+    /// `argmax Q` until the episode ends. The optimized module and the
+    /// applied actions are left in `env`, which the caller prepares (arch,
+    /// episode length, cache, sanitizer).
+    pub fn rollout(&self, env: &mut PhaseEnv, module: posetrl_ir::Module) {
         let mut state = env.reset(module);
         loop {
-            let a = self.agent.act_greedy(&state);
-            let r = env.step(a);
-            state = r.state;
+            let r = env.step(self.agent.act_greedy(&state));
             if r.done {
                 break;
             }
+            state = r.state;
         }
-        (env.module().clone(), env.applied_actions().to_vec())
     }
 }
 

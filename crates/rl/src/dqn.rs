@@ -322,23 +322,6 @@ impl Policy {
     pub fn act_greedy(&self, state: &[f64]) -> usize {
         argmax(&self.q_values(state))
     }
-
-    /// Q-values for a whole batch of states in one network sweep.
-    ///
-    /// Row `i` is bit-identical to `q_values(&states[i])` for any batch
-    /// size or ordering (see `Mlp::forward_batch`), so batching across
-    /// concurrent requests cannot change any individual decision.
-    pub fn q_values_batch(&self, states: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.net.forward_batch(states)
-    }
-
-    /// Greedy actions for a whole batch (first index on ties, per state).
-    pub fn act_greedy_batch(&self, states: &[Vec<f64>]) -> Vec<usize> {
-        self.q_values_batch(states)
-            .iter()
-            .map(|q| argmax(q))
-            .collect()
-    }
 }
 
 fn argmax(xs: &[f64]) -> usize {
@@ -491,25 +474,5 @@ mod tests {
     fn argmax_prefers_first_on_ties() {
         assert_eq!(argmax(&[1.0, 1.0, 0.5]), 0);
         assert_eq!(argmax(&[0.1, 0.9, 0.9]), 1);
-    }
-
-    #[test]
-    fn policy_batch_matches_solo_decisions() {
-        let mut agent = DqnAgent::new(small_config());
-        for _ in 0..50 {
-            agent.act(&[0.1]);
-        }
-        let policy = agent.policy();
-        let states: Vec<Vec<f64>> = (0..9).map(|i| vec![(i as f64) / 4.0 - 1.0]).collect();
-        let batch_q = policy.q_values_batch(&states);
-        let batch_a = policy.act_greedy_batch(&states);
-        for (i, s) in states.iter().enumerate() {
-            assert_eq!(batch_q[i], policy.q_values(s), "q-values bit-identical");
-            assert_eq!(batch_a[i], policy.act_greedy(s));
-        }
-        // sub-batches agree with the full batch
-        let sub = policy.q_values_batch(&states[2..4]);
-        assert_eq!(sub[0], batch_q[2]);
-        assert_eq!(sub[1], batch_q[3]);
     }
 }

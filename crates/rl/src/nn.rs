@@ -192,19 +192,6 @@ impl Mlp {
         self.forward_rows(x, 1)
     }
 
-    /// Batched forward pass: one call for `xs.len()` inputs.
-    ///
-    /// Every row is bit-identical to a solo `forward(&xs[i])` regardless
-    /// of batch size or composition (see [`Mlp::forward_rows`]), which is
-    /// what lets `posetrl-serve` batch inference across requests without
-    /// breaking its determinism contract.
-    pub fn forward_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let out = self.forward_rows(&xs.concat(), xs.len());
-        out.chunks_exact(self.output_dim().max(1))
-            .map(<[f64]>::to_vec)
-            .collect()
-    }
-
     /// Forward pass over `n` row-major input rows (`n × input_dim`),
     /// returning `n × output_dim` row-major outputs.
     ///
@@ -467,22 +454,20 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_is_bit_identical_to_solo_forward() {
+    fn forward_rows_is_bit_identical_to_solo_forward() {
         let mlp = Mlp::new(&[6, 16, 8, 4], 3);
-        let xs: Vec<Vec<f64>> = (0..13)
-            .map(|i| (0..6).map(|j| ((i * 7 + j * 3) as f64).sin()).collect())
+        let xs: Vec<f64> = (0..13)
+            .flat_map(|i| (0..6).map(move |j| ((i * 7 + j * 3) as f64).sin()))
             .collect();
-        let batched = mlp.forward_batch(&xs);
-        assert_eq!(batched.len(), xs.len());
-        for (x, y) in xs.iter().zip(&batched) {
-            let solo = mlp.forward(x);
-            assert_eq!(&solo, y, "batch output must be bitwise equal");
+        let rows = mlp.forward_rows(&xs, 13);
+        assert_eq!(rows.len(), 13 * 4);
+        for (x, y) in xs.chunks_exact(6).zip(rows.chunks_exact(4)) {
+            assert_eq!(mlp.forward(x), y, "row output must be bitwise equal");
         }
-        // batch composition must not matter: a sub-batch gives the same rows
-        let sub = mlp.forward_batch(&xs[3..5]);
-        assert_eq!(sub[0], batched[3]);
-        assert_eq!(sub[1], batched[4]);
-        assert!(mlp.forward_batch(&[]).is_empty());
+        // block composition must not matter: a sub-block gives the same rows
+        let sub = mlp.forward_rows(&xs[3 * 6..5 * 6], 2);
+        assert_eq!(sub, rows[3 * 4..5 * 4]);
+        assert!(mlp.forward_rows(&[], 0).is_empty());
     }
 
     #[test]

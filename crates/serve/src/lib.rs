@@ -9,23 +9,20 @@
 //!
 //! - [`protocol`]: the strict line-oriented request/response format,
 //! - [`config`]: `POSETRL_SERVE_*` env budgets (admission control),
-//! - [`batcher`]: batched policy inference across in-flight requests,
-//! - [`server`]: the sharded worker pool, response store, and stdio /
-//!   Unix-socket transports,
+//! - [`server`]: the sharded worker pool (each worker runs the policy
+//!   inline), response store, and stdio / Unix-socket transports,
 //! - [`loadgen`]: the 1/8/64-client synthetic load schedule behind
 //!   `repro -- servestats` and the nightly CI bench.
 //!
 //! Everything user-visible is deterministic in the request stream: the
-//! PR-2 bit-identical contract extends through sharding, batching, and
-//! caching (see DESIGN.md §12).
+//! bit-identical contract extends through sharding and caching (see
+//! DESIGN.md §12).
 
-pub mod batcher;
 pub mod config;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
 
-pub use batcher::{BatchStats, Batcher};
 pub use config::ServeConfig;
 pub use loadgen::{
     corpus, quick_model, run_load, servestats, LoadReport, PhaseSpec, DEFAULT_PHASES,
@@ -34,4 +31,4 @@ pub use protocol::{
     parse_request, parse_response, ErrResponse, ErrorKind, OkResponse, ProtocolError, Request,
     Response,
 };
-pub use server::{run_stdio, Pending, Server, ServerStats, StdioSummary};
+pub use server::{run_stdio, BatchStats, Pending, Server, ServerStats, StdioSummary};

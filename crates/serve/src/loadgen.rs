@@ -87,8 +87,6 @@ pub struct PhaseReport {
     pub store_hit_rate: f64,
     /// Eval-cache hit rate within the phase.
     pub cache_hit_rate: f64,
-    /// Largest inference batch observed so far.
-    pub max_batch: u64,
 }
 
 impl PhaseReport {
@@ -106,7 +104,6 @@ impl PhaseReport {
             "throughput_rps": self.throughput_rps,
             "store_hit_rate": self.store_hit_rate,
             "cache_hit_rate": self.cache_hit_rate,
-            "max_batch": self.max_batch,
         })
     }
 }
@@ -146,9 +143,6 @@ impl LoadReport {
             "store_hits": self.stats.store_hits,
             "store_misses": self.stats.store_misses,
             "cache_hit_rate": self.stats.cache.hit_rate(),
-            "batches": self.stats.batch.batches,
-            "mean_batch": self.stats.batch.mean_batch(),
-            "max_batch": self.stats.batch.max_batch,
         })
     }
 }
@@ -249,7 +243,6 @@ fn run_phase(server: &Server, corpus: &[(String, String)], spec: PhaseSpec) -> P
         } else {
             cache_delta_hits as f64 / cache_delta_total as f64
         },
-        max_batch: after.batch.max_batch,
     }
 }
 
@@ -326,14 +319,18 @@ pub fn servestats() -> Result<(String, Value), posetrl_analyze::EnvParseError> {
         })
         .collect();
     let modules_with = |workers: usize| -> Vec<String> {
+        // queues deep enough for the whole stream, which is submitted
+        // before any reply is awaited so several workers run at once
         let cfg = ServeConfig {
             workers,
+            queue_depth: cfg.queue_depth.max(stream.len()),
             ..cfg.clone()
         };
         let server = Server::new(Arc::clone(&model), cfg, None);
-        stream
-            .iter()
-            .map(|line| match server.handle(line) {
+        let pending: Vec<_> = stream.iter().map(|line| server.submit(line)).collect();
+        pending
+            .into_iter()
+            .map(|p| match p.wait() {
                 Response::Ok(r) => r.module,
                 Response::Err(e) => panic!("determinism stream errored: {}", e.error),
             })
@@ -370,11 +367,6 @@ pub fn servestats() -> Result<(String, Value), posetrl_analyze::EnvParseError> {
             p.cache_hit_rate
         ));
     }
-    text.push_str(&format!(
-        "  batching: {} sweeps, mean {:.2}, max {}\n  determinism: workers {{1,3}} bit-identical ✓\n",
-        report.stats.batch.batches,
-        report.stats.batch.mean_batch(),
-        report.stats.batch.max_batch
-    ));
+    text.push_str("  determinism: workers {1,3} bit-identical ✓\n");
     Ok((text, value))
 }

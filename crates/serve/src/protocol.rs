@@ -22,7 +22,7 @@
 //! ```json
 //! {"id":"r1","ok":true,"module":"...","actions":[3,1],"size_before":940,
 //!  "size_after":830,"cycles_before":61.0,"cycles_after":55.5,
-//!  "wall_us":1834,"cached":false,"shard":2,"batch":3}
+//!  "wall_us":1834,"cached":false,"shard":2,"batch":1}
 //! ```
 //!
 //! Error response (`id` is `null` when the request never parsed far
@@ -181,7 +181,8 @@ pub struct OkResponse {
     pub cached: bool,
     /// The eval-cache shard / worker that owned this module.
     pub shard: u64,
-    /// Inference batch size the final decision rode in (1 when cached).
+    /// States per policy sweep: 1 for a rollout (each decision sweeps one
+    /// state), 0 for a store hit (no inference ran).
     pub batch: u64,
 }
 

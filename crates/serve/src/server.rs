@@ -7,10 +7,11 @@
 //!   `cache.shard_of(module_hash)`, so each worker's step memos,
 //!   measurements, and embeddings land in "its" shard and shard balance
 //!   is observable per request stream.
-//! - **Batched inference.** Workers block in the shared [`Batcher`] at
-//!   every decision point; concurrent requests ride one network sweep.
-//!   Batched decisions are bit-identical to solo ones, so responses are
-//!   bit-identical for any worker count, batch timing, or queue order.
+//! - **Inline inference.** Each worker rolls its request out with
+//!   [`TrainedModel::rollout`], the greedy loop offline evaluation uses,
+//!   picking every action on its own thread from the shared model. A
+//!   decision depends only on the state, so responses are bit-identical
+//!   for any worker count or queue order.
 //! - **Admission control.** Each worker has a bounded queue; a full queue
 //!   answers `overloaded` immediately instead of building unbounded
 //!   backlog. Budgets (module bytes, episode steps) are deterministic
@@ -21,7 +22,6 @@
 //!   behind every content-addressed cache); a repeated module is a pure
 //!   store hit that touches neither the worker pool nor the network.
 
-use crate::batcher::{BatchStats, Batcher};
 use crate::config::ServeConfig;
 use crate::protocol::{parse_request, ErrorKind, OkResponse, Response};
 use posetrl::cache::MeasureMemo;
@@ -58,7 +58,8 @@ struct Inner {
     model: Arc<TrainedModel>,
     cache: Arc<EvalCache>,
     sanitizer: Option<Arc<Sanitizer>>,
-    batcher: Batcher,
+    /// Policy decisions taken by completed rollouts.
+    decisions: AtomicU64,
     /// Completed responses; a hit is re-issued under the new request's
     /// id and timing.
     store: Memo<StoreKey, Arc<OkResponse>>,
@@ -87,8 +88,18 @@ pub struct ServerStats {
     pub cache: CacheStats,
     /// Per-shard eval-cache counters, in shard order.
     pub shards: Vec<CacheStats>,
-    /// Inference batching counters.
+    /// Policy-inference counters.
     pub batch: BatchStats,
+}
+
+/// Policy-inference counters: each decision is one network sweep over one
+/// state, so `batches == states` and their ratio, the mean batch, is 1.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BatchStats {
+    /// Network sweeps run.
+    pub batches: u64,
+    /// States inferred in total.
+    pub states: u64,
 }
 
 impl ServerStats {
@@ -113,7 +124,7 @@ impl Pending {
     }
 }
 
-/// The server: worker pool + batcher + caches behind a line-oriented API.
+/// The server: worker pool + caches behind a line-oriented API.
 pub struct Server {
     inner: Arc<Inner>,
     queues: Vec<SyncSender<Job>>,
@@ -156,13 +167,12 @@ impl Server {
         let cache = Arc::new(
             EvalCache::sharded(cfg.cache_capacity, cfg.workers).with_incremental(incremental),
         );
-        let batcher = Batcher::new(model.agent.policy());
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
             model,
             cache,
             sanitizer,
-            batcher,
+            decisions: AtomicU64::new(0),
             store: Memo::new(cfg.store_capacity),
             requests: AtomicU64::new(0),
             ok: AtomicU64::new(0),
@@ -322,6 +332,7 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         let i = &self.inner;
         let store = i.store.stats();
+        let decisions = i.decisions.load(Ordering::Relaxed);
         ServerStats {
             requests: i.requests.load(Ordering::Relaxed),
             ok: i.ok.load(Ordering::Relaxed),
@@ -331,7 +342,10 @@ impl Server {
             store_misses: store.misses,
             cache: i.cache.stats(),
             shards: i.cache.shard_stats(),
-            batch: i.batcher.stats(),
+            batch: BatchStats {
+                batches: decisions,
+                states: decisions,
+            },
         }
     }
 }
@@ -350,7 +364,6 @@ struct RolloutOut {
     actions: Vec<u64>,
     before: MeasureMemo,
     after: MeasureMemo,
-    max_batch: u64,
 }
 
 fn rollout(inner: &Inner, job: &Job) -> RolloutOut {
@@ -366,17 +379,11 @@ fn rollout(inner: &Inner, job: &Job) -> RolloutOut {
     if inner.sanitizer.is_some() {
         env.set_sanitizer(inner.sanitizer.clone());
     }
-    let mut state = env.reset(job.module.clone());
-    let mut max_batch = 0u64;
-    loop {
-        let (a, batch) = inner.batcher.act_greedy_sized(state.clone());
-        max_batch = max_batch.max(batch);
-        let r = env.step(a);
-        state = r.state;
-        if r.done {
-            break;
-        }
-    }
+    inner.model.rollout(&mut env, job.module.clone());
+    let actions: Vec<u64> = env.applied_actions().iter().map(|&a| a as u64).collect();
+    inner
+        .decisions
+        .fetch_add(actions.len() as u64, Ordering::Relaxed);
     let after = measure(
         Some((&inner.cache, module_hash(env.module()))),
         env.module(),
@@ -384,10 +391,9 @@ fn rollout(inner: &Inner, job: &Job) -> RolloutOut {
     );
     RolloutOut {
         module_text: print_module(env.module()),
-        actions: env.applied_actions().iter().map(|&a| a as u64).collect(),
+        actions,
         before,
         after,
-        max_batch,
     }
 }
 
@@ -406,7 +412,7 @@ fn process(inner: &Arc<Inner>, job: Job) -> Response {
                 wall_us: job.start.elapsed().as_micros() as u64,
                 cached: false,
                 shard: job.shard as u64,
-                batch: out.max_batch,
+                batch: 1,
             };
             let key = (job.hash, job.arch, job.steps);
             inner.store.insert(key, Arc::new(resp.clone()));
@@ -442,8 +448,8 @@ pub struct StdioSummary {
 
 /// Drives the server from a line-oriented transport: one request per
 /// input line, one response per output line, **in request order**. Up to
-/// `workers × queue_depth` requests are kept in flight, so concurrent
-/// batching still happens behind the ordered output.
+/// `workers × queue_depth` requests are kept in flight, so the workers
+/// still run concurrently behind the ordered output.
 ///
 /// A writer thread writes each response as soon as it and every earlier
 /// one are complete, so a client that waits for each reply before

@@ -1,8 +1,10 @@
 //! End-to-end server tests over a tiny trained policy: bit-identical
-//! responses for any worker count, pure store hits on repeats, in-order
-//! stdio sessions, and every admission-control rejection path.
+//! responses for any worker count, agreement with offline inference, pure
+//! store hits on repeats, in-order stdio sessions, and every
+//! admission-control rejection path.
 
 use posetrl::{train, ActionSet, TrainedModel, TrainerConfig};
+use posetrl_ir::parser::parse_module;
 use posetrl_ir::printer::print_module;
 use posetrl_serve::protocol::{ErrorKind, Request, Response};
 use posetrl_serve::server::{run_stdio, Server};
@@ -106,7 +108,7 @@ fn responses_are_bit_identical_for_any_worker_count() {
                 .then(posetrl_analyze::IncrementalAnalysisManager::new)
                 .map(Arc::new);
             let server = Server::with_incremental(Arc::clone(&model), cfg(workers, 8), None, mgr);
-            // submit the whole stream first so multi-worker runs actually batch
+            // submit the whole stream first so multi-worker runs overlap
             let pending: Vec<_> = lines.iter().map(|l| server.submit(l)).collect();
             let got: Vec<_> = pending
                 .into_iter()
@@ -125,6 +127,44 @@ fn responses_are_bit_identical_for_any_worker_count() {
             }
         }
     }
+}
+
+#[test]
+fn serve_agrees_with_offline_inference() {
+    let model = model();
+    let corpus = corpus();
+    let server = Server::new(Arc::clone(&model), cfg(2, 8), None);
+    let lines: Vec<String> = corpus
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            Request {
+                id: format!("offline-{i}"),
+                module: m.clone(),
+                arch: model.env.arch,
+                max_steps: Some(model.env.episode_len as u64),
+            }
+            .to_json()
+        })
+        .collect();
+    let pending: Vec<_> = lines.iter().map(|l| server.submit(l)).collect();
+    let mut decisions = 0;
+    for (p, text) in pending.into_iter().zip(&corpus) {
+        let served = ok(p.wait());
+        let (optimized, actions) = model.optimize(parse_module(text).expect("corpus parses"));
+        assert_eq!(served.module, print_module(&optimized));
+        let actions: Vec<u64> = actions.into_iter().map(|a| a as u64).collect();
+        assert_eq!(served.actions, actions);
+        assert_eq!(served.batch, 1, "a rollout sweeps one state per decision");
+        decisions += actions.len() as u64;
+    }
+    let stats = server.stats().batch;
+    assert_eq!((stats.batches, stats.states), (decisions, decisions));
+    // a store hit runs no inference
+    let hit = ok(server.handle(&lines[0]));
+    assert!(hit.cached);
+    assert_eq!(hit.batch, 0);
+    assert_eq!(server.stats().batch.states, decisions);
 }
 
 #[test]
