@@ -1188,17 +1188,7 @@ pub fn lint_with(m: &Module, ma: &ModuleAlias, out: &mut Vec<Diagnostic>) {
 
 /// Runs the analysis and the lints over `m` in one call.
 pub fn check(m: &Module, out: &mut Vec<Diagnostic>) {
-    check_with(m, None, out);
-}
-
-/// [`check`], optionally routed through an incremental manager.
-pub fn check_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let ma = analyze_module_with(m, mgr);
-    lint_with(m, &ma, out);
+    lint_with(m, &analyze_module(m), out);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! mini-analyze [FILES...] [--corpus] [--suites] [--deny warnings|errors]
-//!              [--level verify|validate|full] [--absint] [--json] [-q]
+//!              [--level verify|validate|full]
+//!              [--absint|--alias|--scev|--depend] [--json] [-q]
 //! mini-analyze --validate SRC.pir TGT.pir [--json] [-q]
 //! ```
 //!
@@ -12,27 +13,12 @@
 //! - `--suites` additionally checks MiBench, SPEC 2006 and SPEC 2017.
 //! - `--deny warnings` (default `errors`) exits nonzero when any finding
 //!   at or above the threshold is reported; notes never fail the run.
-//! - `--absint` switches to abstract-interpretation mode: per-value facts
-//!   (known bits, signed/unsigned intervals, pointer nullness/alignment,
-//!   argument/return summaries) are dumped in a stable textual format and
-//!   only the absint lints (`range-trap`, `null-deref`, `dead-branch`)
-//!   contribute findings. Exit codes are unchanged.
-//! - `--alias` switches to points-to mode: per-value points-to sets,
-//!   per-function mod/ref/escape summaries and the MemorySSA-style
-//!   load-dependence chains are dumped, and only the alias lints
-//!   (`store-dead`, `alias-uaf`, `uninit-load`, `const-write`) contribute
-//!   findings. Solver budgets come from the `POSETRL_ALIAS_*` knobs.
-//! - `--scev` switches to scalar-evolution mode: per-loop add
-//!   recurrences, symbolic trip counts and the static block-frequency
-//!   profile are dumped, and only the scev lints (`infinite-loop`,
-//!   `iv-overflow`) contribute findings. Budgets come from the
-//!   `POSETRL_SCEV_*` knobs.
-//! - `--depend` switches to loop-dependence mode: per-loop dependences
-//!   (kind, distance, carried-ness), disambiguation counts and the
-//!   vectorization/parallelization legality verdicts are dumped, and
-//!   only the depend lints (`loop-carried-uaf`, `overlap-copy`)
-//!   contribute findings. Budgets come from the `POSETRL_DEPEND_*`
-//!   knobs.
+//! - `--absint`, `--alias`, `--scev` or `--depend` (a row of
+//!   [`posetrl_analyze::suite::ANALYSES`]; one per run, a second mode
+//!   flag is a usage error) switches to that analysis's mode: its facts
+//!   are dumped in the stable textual format of the module's `render`,
+//!   only its lints contribute findings, and budgets come from its
+//!   `POSETRL_<ANALYSIS>_*` knobs. Exit codes are unchanged.
 //! - `--list-lints` prints the full lint registry (code, severity,
 //!   producing analysis) as JSON and exits 0.
 //! - `--json` prints one JSON object per module instead of text lines.
@@ -50,9 +36,10 @@
 //! no refutations — `inconclusive` is not a finding), 1 findings
 //! (denied diagnostics or refuted functions), 2 usage or I/O error.
 
+use posetrl_analyze::suite::{self, Analysis};
 use posetrl_analyze::{
-    exit_codes, run_all, validate_transform, AliasConfig, Diagnostic, SanitizeLevel, Severity,
-    ValidateConfig, Verdict,
+    exit_codes, run_all, validate_transform, Diagnostic, SanitizeLevel, Severity, ValidateConfig,
+    Verdict,
 };
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::verifier::verify_module;
@@ -65,21 +52,23 @@ struct Options {
     validate_pair: Option<(String, String)>,
     corpus: bool,
     suites: bool,
-    absint: bool,
-    alias: bool,
-    scev: bool,
-    depend: bool,
+    analysis: Option<&'static Analysis>,
     deny: Severity,
     json: bool,
     quiet: bool,
 }
 
 fn usage() -> ! {
+    let modes: Vec<String> = suite::ANALYSES
+        .iter()
+        .map(|a| format!("--{}", a.name))
+        .collect();
     eprintln!(
         "usage: mini-analyze [FILES...] [--corpus] [--suites] \
-         [--deny warnings|errors] [--level verify|validate|full] [--absint] [--alias] [--scev] [--depend] [--json] [-q]\n\
+         [--deny warnings|errors] [--level verify|validate|full] [{}] [--json] [-q]\n\
          \x20      mini-analyze --validate SRC.pir TGT.pir [--json] [-q]\n\
-         \x20      mini-analyze --list-lints"
+         \x20      mini-analyze --list-lints",
+        modes.join("|")
     );
     std::process::exit(exit_codes::USAGE);
 }
@@ -90,10 +79,7 @@ fn parse_args() -> Options {
         validate_pair: None,
         corpus: false,
         suites: false,
-        absint: false,
-        alias: false,
-        scev: false,
-        depend: false,
+        analysis: None,
         deny: Severity::Error,
         json: false,
         quiet: false,
@@ -103,10 +89,6 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--corpus" => opts.corpus = true,
             "--suites" => opts.suites = true,
-            "--absint" => opts.absint = true,
-            "--alias" => opts.alias = true,
-            "--scev" => opts.scev = true,
-            "--depend" => opts.depend = true,
             "--list-lints" => {
                 let out = serde_json::to_string_pretty(&posetrl_analyze::diag::registry())
                     .expect("registry serializes");
@@ -137,7 +119,18 @@ fn parse_args() -> Options {
                 }
             }
             "-h" | "--help" => usage(),
-            _ if arg.starts_with('-') => usage(),
+            _ if arg.starts_with('-') => {
+                let Some(a) = arg.strip_prefix("--").and_then(suite::find) else {
+                    usage()
+                };
+                if let Some(first) = opts.analysis.replace(a) {
+                    eprintln!(
+                        "mini-analyze: {arg} cannot be combined with --{}",
+                        first.name
+                    );
+                    std::process::exit(exit_codes::USAGE);
+                }
+            }
             _ => opts.files.push(arg),
         }
     }
@@ -150,58 +143,19 @@ fn parse_args() -> Options {
 /// Lints one module; returns the diagnostics at or above the deny level.
 fn lint(name: &str, m: &Module, opts: &Options) -> Vec<Diagnostic> {
     let mut dump = None;
-    let diags = match verify_module(m) {
-        Ok(()) if opts.depend => {
+    let diags = match (verify_module(m), opts.analysis) {
+        (Ok(()), Some(a)) => {
             // budgets are env-tunable; a malformed knob is a usage error
-            let cfg = posetrl_analyze::DependConfig::try_from_env().unwrap_or_else(|e| {
+            let (facts, mut out) = (a.lint_and_dump)(m).unwrap_or_else(|e| {
                 eprintln!("mini-analyze: {e}");
                 std::process::exit(exit_codes::USAGE);
             });
-            let ms = posetrl_analyze::scev::analyze_module(m);
-            let ma = posetrl_analyze::alias::analyze_module(m);
-            let md = posetrl_analyze::depend::analyze_module_full(m, &ms, &ma, &cfg, None);
-            dump = Some(posetrl_analyze::depend::render(m, &md));
-            let mut out = Vec::new();
-            posetrl_analyze::depend::lint_with(m, &ms, &ma, &mut out);
             posetrl_analyze::analyses::sort_report(&mut out);
+            dump = Some(facts);
             out
         }
-        Ok(()) if opts.scev => {
-            // budgets are env-tunable; a malformed knob is a usage error
-            let cfg = posetrl_analyze::ScevConfig::try_from_env().unwrap_or_else(|e| {
-                eprintln!("mini-analyze: {e}");
-                std::process::exit(exit_codes::USAGE);
-            });
-            let ms = posetrl_analyze::scev::analyze_module_cfg(m, &cfg, None);
-            dump = Some(posetrl_analyze::scev::render(m, &ms));
-            let mut out = Vec::new();
-            posetrl_analyze::scev::lint_with(m, &ms, &mut out);
-            posetrl_analyze::analyses::sort_report(&mut out);
-            out
-        }
-        Ok(()) if opts.alias => {
-            // budgets are env-tunable; a malformed knob is a usage error
-            let cfg = AliasConfig::try_from_env().unwrap_or_else(|e| {
-                eprintln!("mini-analyze: {e}");
-                std::process::exit(exit_codes::USAGE);
-            });
-            let ma = posetrl_analyze::alias::analyze_module_cfg(m, &cfg, None);
-            dump = Some(posetrl_analyze::alias::render(m, &ma));
-            let mut out = Vec::new();
-            posetrl_analyze::alias::lint_with(m, &ma, &mut out);
-            posetrl_analyze::analyses::sort_report(&mut out);
-            out
-        }
-        Ok(()) if opts.absint => {
-            let mi = posetrl_analyze::absint::analyze_module(m);
-            dump = Some(posetrl_analyze::absint::render(m, &mi));
-            let mut out = Vec::new();
-            posetrl_analyze::absint::lint_with(m, &mi, &mut out);
-            posetrl_analyze::analyses::sort_report(&mut out);
-            out
-        }
-        Ok(()) => run_all(m),
-        Err(e) => {
+        (Ok(()), None) => run_all(m),
+        (Err(e), _) => {
             // surface verifier failures through the same reporting path
             vec![Diagnostic::error(
                 posetrl_analyze::codes::VERIFY,

@@ -823,17 +823,8 @@ fn lint_loop_carried_uaf(
 
 /// Runs the analysis and the lints over `m` in one call.
 pub fn check(m: &Module, out: &mut Vec<Diagnostic>) {
-    check_with(m, None, out);
-}
-
-/// [`check`], optionally routed through an incremental manager.
-pub fn check_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let ms = crate::scev::analyze_module_with(m, mgr);
-    let ma = crate::alias::analyze_module_with(m, mgr);
+    let ms = crate::scev::analyze_module(m);
+    let ma = crate::alias::analyze_module(m);
     lint_with(m, &ms, &ma, out);
 }
 

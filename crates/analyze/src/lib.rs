@@ -22,7 +22,9 @@
 //!   counterexamples), wired in as the `validate` sanitizer level.
 //!
 //! The `mini-analyze` binary exposes the suite over `.pir` files and the
-//! generated workload corpora for CI.
+//! generated workload corpora for CI. The lint-producing analyses
+//! (absint, alias, scev, depend) are listed once in [`suite::ANALYSES`],
+//! which the CLI, the golden and sweep harnesses and the census read.
 
 pub mod absint;
 pub mod alias;
@@ -36,6 +38,7 @@ pub mod memo;
 pub mod profile;
 pub mod sanitizer;
 pub mod scev;
+pub mod suite;
 pub mod validate;
 
 pub use absint::{analyze_module, analyze_module_with, FnSummary, FuncFacts, ModuleAbsint};

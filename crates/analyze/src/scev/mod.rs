@@ -869,17 +869,7 @@ pub fn lint_with(m: &Module, ms: &ModuleScev, out: &mut Vec<Diagnostic>) {
 
 /// Runs the analysis and the lints over `m` in one call.
 pub fn check(m: &Module, out: &mut Vec<Diagnostic>) {
-    check_with(m, None, out);
-}
-
-/// [`check`], optionally routed through an incremental manager.
-pub fn check_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let ms = analyze_module_with(m, mgr);
-    lint_with(m, &ms, out);
+    lint_with(m, &analyze_module(m), out);
 }
 
 // ---------------------------------------------------------------------------

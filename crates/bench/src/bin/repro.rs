@@ -8,8 +8,9 @@
 //!   table2      the 15 manual sub-sequences (Table II)
 //!   table3      the 34 ODG sub-sequences (Table III)
 //!   odgstats    ODG node/edge/degree statistics (Section IV-B)
-//!   scevstats   SCEV + static-profile corpus statistics (DESIGN.md §15)
-//!   dependstats loop data-dependence corpus statistics (DESIGN.md §16)
+//!   absintstats aliasstats scevstats dependstats
+//!               corpus census of one analysis of the analysis table
+//!               (DESIGN.md §11, §14-§16)
 //!   fig1        O3 vs Oz runtime/size on SPEC (Fig. 1)
 //!   table4      % size reduction vs Oz (Table IV)
 //!   table5      % execution-time improvement vs Oz (Table V)
@@ -30,6 +31,7 @@
 //! `full` diff-executes everything and delta-reduces miscompiles).
 
 use posetrl::experiments::{self, ExperimentContext, Scale};
+use posetrl_analyze::suite::{Analysis, ANALYSES};
 use posetrl_analyze::SanitizeLevel;
 use posetrl_bench::write_artifact;
 use std::fmt::Write as _;
@@ -80,16 +82,13 @@ fn main() {
     if wanted.is_empty() {
         wanted.push("all".to_string());
     }
-    const KNOWN: [&str; 20] = [
+    let census = |a: &Analysis| format!("{}stats", a.name);
+    const KNOWN: [&str; 16] = [
         "all",
         "table1",
         "table2",
         "table3",
         "odgstats",
-        "absintstats",
-        "aliasstats",
-        "scevstats",
-        "dependstats",
         "fig1",
         "table4",
         "table5",
@@ -103,7 +102,7 @@ fn main() {
         "ablate-embed",
     ];
     for w in &wanted {
-        if !KNOWN.contains(&w.as_str()) {
+        if !KNOWN.contains(&w.as_str()) && !ANALYSES.iter().any(|a| census(a) == *w) {
             eprintln!("unknown experiment '{w}' (see --help)");
             std::process::exit(2);
         }
@@ -125,33 +124,12 @@ fn main() {
         let s = experiments::odg_stats();
         emit("odgstats", &s.render(), &serde_json::to_value(&s).unwrap());
     }
-    if want("absintstats") {
-        let s = experiments::absint_stats();
-        emit(
-            "absintstats",
-            &s.render(),
-            &serde_json::to_value(&s).unwrap(),
-        );
-    }
-    if want("aliasstats") {
-        let s = experiments::alias_stats();
-        emit(
-            "aliasstats",
-            &s.render(),
-            &serde_json::to_value(&s).unwrap(),
-        );
-    }
-    if want("scevstats") {
-        let s = experiments::scev_stats();
-        emit("scevstats", &s.render(), &serde_json::to_value(&s).unwrap());
-    }
-    if want("dependstats") {
-        let s = experiments::depend_stats();
-        emit(
-            "dependstats",
-            &s.render(),
-            &serde_json::to_value(&s).unwrap(),
-        );
+    for a in &ANALYSES {
+        let name = census(a);
+        if want(&name) {
+            let s = experiments::analysis_stats(a);
+            emit(&name, &s.render(), &serde_json::to_value(&s).unwrap());
+        }
     }
     if want("fig1") {
         let f = experiments::fig1(scale);

@@ -19,6 +19,7 @@ use posetrl_target::size::object_size;
 use posetrl_target::TargetArch;
 use posetrl_workloads::{mibench, spec2006, spec2017, training_suite, Benchmark};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// How much compute to spend on the reproduction.
@@ -598,492 +599,100 @@ impl OdgStats {
 }
 
 // ---------------------------------------------------------------------------
-// Abstract-interpretation statistics (DESIGN.md §11)
+// Analysis census (DESIGN.md §11, §14–§16)
 // ---------------------------------------------------------------------------
 
-/// Corpus-wide statistics of the interprocedural abstract interpreter:
-/// lint counts, `rangeopt` fire rate and the static feature vector's
-/// per-dimension means over the training suite.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AbsintStats {
+/// Corpus census of one lint-producing analysis over the training suite:
+/// lint counts, how many modules each consumer pass changes, and the
+/// analysis's own facts ([`posetrl_analyze::suite::Analysis::facts`]).
+#[derive(Debug, Clone, Serialize)]
+pub struct AnalysisStats {
+    /// The analysis's table name.
+    pub analysis: &'static str,
+    /// Passes run on every module before the census looks at it.
+    pub canonicalize: &'static [&'static str],
     /// Modules analyzed.
     pub modules: usize,
     /// Diagnostics per lint code over the whole corpus.
-    pub lint_counts: Vec<(String, usize)>,
-    /// Modules where `rangeopt` changed at least one instruction.
-    pub rangeopt_changed: usize,
-    /// Static feature dimensionality ([`posetrl_analyze::absint::features::FEATURE_DIM`]).
-    pub feature_dim: usize,
-    /// Per-dimension mean of the feature vector over the corpus.
-    pub feature_means: Vec<f64>,
+    pub lints: BTreeMap<String, usize>,
+    /// Modules where each consumer pass changed at least one instruction.
+    pub consumers: BTreeMap<String, usize>,
+    /// The analysis-specific numbers (counts, means, vector means).
+    pub facts: BTreeMap<String, serde_json::Value>,
 }
 
-/// Computes [`AbsintStats`] over the training suite.
-pub fn absint_stats() -> AbsintStats {
-    use posetrl_analyze::absint;
+/// Computes [`AnalysisStats`] for one table entry. Modules are first
+/// canonicalized with the entry's prefix (`mem2reg` + `loop-simplify`
+/// for the loop analyses: the generated corpus keeps induction variables
+/// in memory, and those analyses, like the passes they power, run
+/// mid-pipeline, after promotion).
+pub fn analysis_stats(a: &'static posetrl_analyze::suite::Analysis) -> AnalysisStats {
     let pm = PassManager::new();
     let suite = training_suite();
-    let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-    let mut sums = vec![0.0f64; absint::features::FEATURE_DIM];
-    let mut changed = 0usize;
-    for b in &suite {
-        let mut diags = Vec::new();
-        absint::check(&b.module, &mut diags);
-        for d in &diags {
-            *counts.entry(d.code.to_string()).or_default() += 1;
-        }
-        for (s, x) in sums
-            .iter_mut()
-            .zip(absint::features::module_features(&b.module))
-        {
-            *s += x;
-        }
-        let mut m = b.module.clone();
-        if pm
-            .run_pass(&mut m, "rangeopt")
-            .expect("rangeopt is registered")
-        {
-            changed += 1;
-        }
-    }
-    let n = suite.len().max(1) as f64;
-    AbsintStats {
-        modules: suite.len(),
-        lint_counts: counts.into_iter().collect(),
-        rangeopt_changed: changed,
-        feature_dim: absint::features::FEATURE_DIM,
-        feature_means: sums.into_iter().map(|s| s / n).collect(),
-    }
-}
-
-impl AbsintStats {
-    /// Renders the statistics as text.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "absint: {} modules, rangeopt changed {} ({:.1}%)",
-            self.modules,
-            self.rangeopt_changed,
-            100.0 * self.rangeopt_changed as f64 / self.modules.max(1) as f64
-        );
-        for (code, n) in &self.lint_counts {
-            let _ = writeln!(s, "  {code}: {n}");
-        }
-        let means: Vec<String> = self
-            .feature_means
-            .iter()
-            .map(|x| format!("{x:.3}"))
-            .collect();
-        let _ = writeln!(
-            s,
-            "feature means ({}d): [{}]",
-            self.feature_dim,
-            means.join(", ")
-        );
-        s
-    }
-}
-
-/// Corpus-level statistics of the interprocedural alias analysis: lint
-/// counts, `dse` fire rate, mod/ref summary shape and memory-dependence
-/// metrics over the training suite.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AliasStats {
-    /// Modules analyzed.
-    pub modules: usize,
-    /// Defined (non-declaration) functions analyzed.
-    pub functions: usize,
-    /// Diagnostics per lint code over the whole corpus.
-    pub lint_counts: Vec<(String, usize)>,
-    /// Modules where `dse` changed at least one instruction.
-    pub dse_changed: usize,
-    /// Functions whose mod or ref summary saturated to ⊤.
-    pub top_modref_functions: usize,
-    /// Whole-corpus count of stores MemDep proved dead.
-    pub dead_stores: usize,
-    /// Mean per-function maximum store→load chain depth.
-    pub mean_max_chain: f64,
-}
-
-/// Computes [`AliasStats`] over the training suite.
-pub fn alias_stats() -> AliasStats {
-    use posetrl_analyze::alias;
-    let pm = PassManager::new();
-    let suite = training_suite();
-    let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-    let mut functions = 0usize;
-    let mut top_modref = 0usize;
-    let mut dead_stores = 0usize;
-    let mut chain_sum = 0.0f64;
-    let mut changed = 0usize;
-    for b in &suite {
-        let mut diags = Vec::new();
-        alias::check(&b.module, &mut diags);
-        for d in &diags {
-            *counts.entry(d.code.to_string()).or_default() += 1;
-        }
-        let ma = alias::analyze_module(&b.module);
-        for fid in b.module.func_ids() {
-            let Some(f) = b.module.func(fid) else {
-                continue;
-            };
-            if f.is_decl {
-                continue;
-            }
-            functions += 1;
-            if let Some(s) = ma.summary(fid) {
-                if s.mods.top || s.refs.top {
-                    top_modref += 1;
-                }
-            }
-            if let Some(md) = ma.memdep(fid) {
-                dead_stores += md.dead_stores.len();
-                chain_sum += md.max_chain as f64;
-            }
-        }
-        let mut m = b.module.clone();
-        if pm.run_pass(&mut m, "dse").expect("dse is registered") {
-            changed += 1;
-        }
-    }
-    AliasStats {
-        modules: suite.len(),
-        functions,
-        lint_counts: counts.into_iter().collect(),
-        dse_changed: changed,
-        top_modref_functions: top_modref,
-        dead_stores,
-        mean_max_chain: chain_sum / functions.max(1) as f64,
-    }
-}
-
-impl AliasStats {
-    /// Renders the statistics as text.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "alias: {} modules / {} functions, dse changed {} ({:.1}%)",
-            self.modules,
-            self.functions,
-            self.dse_changed,
-            100.0 * self.dse_changed as f64 / self.modules.max(1) as f64
-        );
-        for (code, n) in &self.lint_counts {
-            let _ = writeln!(s, "  {code}: {n}");
-        }
-        let _ = writeln!(
-            s,
-            "mod/ref top: {}/{} functions; dead stores: {}; mean max chain: {:.2}",
-            self.top_modref_functions, self.functions, self.dead_stores, self.mean_max_chain
-        );
-        s
-    }
-}
-
-/// Corpus-level statistics of the scalar-evolution + static-profile
-/// analysis: lint counts, trip-count classification, `indvars` /
-/// `loop-unroll` fire rates and block-frequency shape over the training
-/// suite (DESIGN.md §15).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScevStats {
-    /// Modules analyzed.
-    pub modules: usize,
-    /// Natural loops recognized across the corpus.
-    pub loops: usize,
-    /// Loops with an exact symbolic trip count.
-    pub exact_trips: usize,
-    /// Loops with only an upper bound on the trip count.
-    pub bounded_trips: usize,
-    /// Loops whose trip count the analysis gave up on.
-    pub unknown_trips: usize,
-    /// Loops proved to never exit.
-    pub infinite_loops: usize,
-    /// Loops whose induction variable provably wraps before exit.
-    pub iv_wraps: usize,
-    /// Recognized add-recurrences across all loops.
-    pub add_recs: usize,
-    /// Diagnostics per lint code over the whole corpus.
-    pub lint_counts: Vec<(String, usize)>,
-    /// Modules where `indvars` changed at least one instruction.
-    pub indvars_changed: usize,
-    /// Modules where `loop-unroll` changed at least one instruction.
-    pub unroll_changed: usize,
-    /// Mean per-function hot-block ratio of the static profile.
-    pub mean_hot_ratio: f64,
-}
-
-/// Computes [`ScevStats`] over the training suite. Modules are
-/// canonicalized with `mem2reg` + `loop-simplify` first: the generated
-/// corpus keeps induction variables in memory, and scev (like the loop
-/// passes it powers) runs mid-pipeline, after promotion.
-pub fn scev_stats() -> ScevStats {
-    use posetrl_analyze::scev;
-    let pm = PassManager::new();
-    let suite = training_suite();
-    let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-    let mut loops = 0usize;
-    let mut exact = 0usize;
-    let mut bounded = 0usize;
-    let mut unknown = 0usize;
-    let mut infinite = 0usize;
-    let mut wraps = 0usize;
-    let mut recs = 0usize;
-    let mut indvars_changed = 0usize;
-    let mut unroll_changed = 0usize;
-    let mut hot_sum = 0.0f64;
-    let mut functions = 0usize;
+    let mut lints: BTreeMap<String, usize> = BTreeMap::new();
+    let mut consumers: BTreeMap<String, usize> =
+        a.consumers.iter().map(|p| (p.to_string(), 0)).collect();
+    let mut facts = posetrl_analyze::suite::Facts::default();
     for b in &suite {
         let mut canon = b.module.clone();
-        let _ = pm.run_pass(&mut canon, "mem2reg").expect("mem2reg");
-        let _ = pm
-            .run_pass(&mut canon, "loop-simplify")
-            .expect("loop-simplify");
+        pm.run_pipeline(&mut canon, a.canonicalize)
+            .expect("canonicalizing passes are registered");
         let mut diags = Vec::new();
-        scev::check(&canon, &mut diags);
+        (a.check)(&canon, &mut diags);
         for d in &diags {
-            *counts.entry(d.code.to_string()).or_default() += 1;
+            *lints.entry(d.code.to_string()).or_default() += 1;
         }
-        let ms = scev::analyze_module(&canon);
-        for fr in ms.funcs.values() {
-            functions += 1;
-            hot_sum += fr.profile.hot_ratio;
-            for l in &fr.loops {
-                loops += 1;
-                recs += l.recs.len();
-                match l.trip {
-                    scev::TripCount::Exact(_) => exact += 1,
-                    scev::TripCount::Bounded(_) => bounded += 1,
-                    scev::TripCount::Unknown => unknown += 1,
+        (a.facts)(&canon, &mut facts);
+        for (pass, changed) in consumers.iter_mut() {
+            let mut m = canon.clone();
+            if pm
+                .run_pass(&mut m, pass)
+                .expect("consumer pass is registered")
+            {
+                *changed += 1;
+            }
+        }
+    }
+    AnalysisStats {
+        analysis: a.name,
+        canonicalize: a.canonicalize,
+        modules: suite.len(),
+        lints,
+        consumers,
+        facts: facts.to_json(),
+    }
+}
+
+impl AnalysisStats {
+    /// Renders the statistics as text.
+    pub fn render(&self) -> String {
+        let mut s = self.analysis.to_string();
+        if !self.canonicalize.is_empty() {
+            let _ = write!(s, " (post {})", self.canonicalize.join("+"));
+        }
+        let _ = writeln!(s, ": {} modules", self.modules);
+        for (code, n) in &self.lints {
+            let _ = writeln!(s, "  {code}: {n}");
+        }
+        for (pass, n) in &self.consumers {
+            let pct = 100.0 * *n as f64 / self.modules.max(1) as f64;
+            let _ = writeln!(s, "{pass} changed {n} ({pct:.1}%)");
+        }
+        let num = |v: &serde_json::Value| match v.as_u64() {
+            Some(n) => n.to_string(),
+            None => format!("{:.3}", v.as_f64().unwrap_or(f64::NAN)),
+        };
+        for (name, v) in &self.facts {
+            match (v.get("dim"), v.get("means").and_then(|m| m.as_array())) {
+                (Some(dim), Some(means)) => {
+                    let means: Vec<String> = means.iter().map(num).collect();
+                    let _ = writeln!(s, "{name} ({}d): [{}]", num(dim), means.join(", "));
                 }
-                if l.provably_infinite {
-                    infinite += 1;
-                }
-                if l.iv_wraps {
-                    wraps += 1;
+                _ => {
+                    let _ = writeln!(s, "{name}: {}", num(v));
                 }
             }
         }
-        let mut m = canon.clone();
-        if pm
-            .run_pass(&mut m, "indvars")
-            .expect("indvars is registered")
-        {
-            indvars_changed += 1;
-        }
-        let mut m = canon;
-        if pm
-            .run_pass(&mut m, "loop-unroll")
-            .expect("loop-unroll is registered")
-        {
-            unroll_changed += 1;
-        }
-    }
-    ScevStats {
-        modules: suite.len(),
-        loops,
-        exact_trips: exact,
-        bounded_trips: bounded,
-        unknown_trips: unknown,
-        infinite_loops: infinite,
-        iv_wraps: wraps,
-        add_recs: recs,
-        lint_counts: counts.into_iter().collect(),
-        indvars_changed,
-        unroll_changed,
-        mean_hot_ratio: hot_sum / functions.max(1) as f64,
-    }
-}
-
-impl ScevStats {
-    /// Renders the statistics as text.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "scev (post mem2reg+loop-simplify): {} modules, {} loops ({} recs); trips exact {} / bounded {} / unknown {}",
-            self.modules,
-            self.loops,
-            self.add_recs,
-            self.exact_trips,
-            self.bounded_trips,
-            self.unknown_trips
-        );
-        let _ = writeln!(
-            s,
-            "flags: infinite {} / iv-wraps {}; mean hot-block ratio {:.3}",
-            self.infinite_loops, self.iv_wraps, self.mean_hot_ratio
-        );
-        for (code, n) in &self.lint_counts {
-            let _ = writeln!(s, "  {code}: {n}");
-        }
-        let _ = writeln!(
-            s,
-            "indvars changed {} ({:.1}%), loop-unroll changed {} ({:.1}%)",
-            self.indvars_changed,
-            100.0 * self.indvars_changed as f64 / self.modules.max(1) as f64,
-            self.unroll_changed,
-            100.0 * self.unroll_changed as f64 / self.modules.max(1) as f64
-        );
-        s
-    }
-}
-
-/// Corpus-level statistics of the loop data-dependence analysis: edge
-/// kinds, proved distances, legality verdicts, lint counts and the
-/// `loop-vec` / `loop-fuse` fire rates over the training suite
-/// (DESIGN.md §16).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DependStats {
-    /// Modules analyzed.
-    pub modules: usize,
-    /// Loops the dependence analysis visited.
-    pub loops: usize,
-    /// Flow (true) dependence edges.
-    pub flow_deps: usize,
-    /// Anti dependence edges.
-    pub anti_deps: usize,
-    /// Output dependence edges.
-    pub output_deps: usize,
-    /// Edges carried across iterations.
-    pub carried_deps: usize,
-    /// Edges with a proved constant distance.
-    pub proved_distances: usize,
-    /// Access pairs the subscript/alias tests refuted outright.
-    pub disambiguated_pairs: usize,
-    /// Loops proved free of carried dependences.
-    pub parallel_safe_loops: usize,
-    /// Loops legal to widen (parallel-safe or min distance >= 2).
-    pub vector_safe_loops: usize,
-    /// Loops spoiled by opaque calls or budget truncation.
-    pub opaque_or_truncated: usize,
-    /// Diagnostics per lint code over the whole corpus.
-    pub lint_counts: Vec<(String, usize)>,
-    /// Modules where `loop-vec` changed at least one instruction.
-    pub loopvec_changed: usize,
-    /// Modules where `loop-fuse` changed at least one instruction.
-    pub loopfuse_changed: usize,
-}
-
-/// Computes [`DependStats`] over the training suite. Modules are
-/// canonicalized with `mem2reg` + `loop-simplify` first, exactly like
-/// [`scev_stats`]: the dependence transforms run mid-pipeline, after
-/// promotion.
-pub fn depend_stats() -> DependStats {
-    use posetrl_analyze::depend;
-    let pm = PassManager::new();
-    let suite = training_suite();
-    let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-    let mut st = DependStats {
-        modules: suite.len(),
-        loops: 0,
-        flow_deps: 0,
-        anti_deps: 0,
-        output_deps: 0,
-        carried_deps: 0,
-        proved_distances: 0,
-        disambiguated_pairs: 0,
-        parallel_safe_loops: 0,
-        vector_safe_loops: 0,
-        opaque_or_truncated: 0,
-        lint_counts: Vec::new(),
-        loopvec_changed: 0,
-        loopfuse_changed: 0,
-    };
-    for b in &suite {
-        let mut canon = b.module.clone();
-        let _ = pm.run_pass(&mut canon, "mem2reg").expect("mem2reg");
-        let _ = pm
-            .run_pass(&mut canon, "loop-simplify")
-            .expect("loop-simplify");
-        let mut diags = Vec::new();
-        depend::check(&canon, &mut diags);
-        for d in &diags {
-            *counts.entry(d.code.to_string()).or_default() += 1;
-        }
-        let md = depend::analyze_module(&canon);
-        for fr in md.funcs.values() {
-            for l in &fr.loops {
-                st.loops += 1;
-                st.disambiguated_pairs += l.disambiguated as usize;
-                if l.opaque_calls || l.truncated {
-                    st.opaque_or_truncated += 1;
-                }
-                if l.parallel_safe {
-                    st.parallel_safe_loops += 1;
-                }
-                if l.vector_safe {
-                    st.vector_safe_loops += 1;
-                }
-                for d in &l.deps {
-                    match d.kind {
-                        depend::DepKind::Flow => st.flow_deps += 1,
-                        depend::DepKind::Anti => st.anti_deps += 1,
-                        depend::DepKind::Output => st.output_deps += 1,
-                    }
-                    if d.carried {
-                        st.carried_deps += 1;
-                    }
-                    if d.distance.is_some() {
-                        st.proved_distances += 1;
-                    }
-                }
-            }
-        }
-        let mut m = canon.clone();
-        if pm
-            .run_pass(&mut m, "loop-vec")
-            .expect("loop-vec is registered")
-        {
-            st.loopvec_changed += 1;
-        }
-        let mut m = canon;
-        if pm
-            .run_pass(&mut m, "loop-fuse")
-            .expect("loop-fuse is registered")
-        {
-            st.loopfuse_changed += 1;
-        }
-    }
-    st.lint_counts = counts.into_iter().collect();
-    st
-}
-
-impl DependStats {
-    /// Renders the statistics as text.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "depend (post mem2reg+loop-simplify): {} modules, {} loops; edges flow {} / anti {} / output {} ({} carried, {} with proved distance)",
-            self.modules,
-            self.loops,
-            self.flow_deps,
-            self.anti_deps,
-            self.output_deps,
-            self.carried_deps,
-            self.proved_distances
-        );
-        let _ = writeln!(
-            s,
-            "verdicts: parallel-safe {} / vector-safe {} / opaque-or-truncated {}; {} pairs disambiguated",
-            self.parallel_safe_loops,
-            self.vector_safe_loops,
-            self.opaque_or_truncated,
-            self.disambiguated_pairs
-        );
-        for (code, n) in &self.lint_counts {
-            let _ = writeln!(s, "  {code}: {n}");
-        }
-        let _ = writeln!(
-            s,
-            "loop-vec changed {} ({:.1}%), loop-fuse changed {} ({:.1}%)",
-            self.loopvec_changed,
-            100.0 * self.loopvec_changed as f64 / self.modules.max(1) as f64,
-            self.loopfuse_changed,
-            100.0 * self.loopfuse_changed as f64 / self.modules.max(1) as f64
-        );
         s
     }
 }

@@ -1,10 +1,11 @@
 //! Shared helpers for the golden `.pir` corpora under `tests/analyze/`.
 //!
-//! Three corpora share the `; expect:` header convention: the lint corpus
+//! Six corpora share the `; expect:` header convention: the lint corpus
 //! (`tests/analyze/*.pir`), the validator pairs
-//! (`tests/analyze/validate/*.{src,tgt}.pir`) and the abstract-interpreter
-//! corpus (`tests/analyze/absint/*.pir`). Parsing the header lives here
-//! once so the convention cannot drift between suites.
+//! (`tests/analyze/validate/*.{src,tgt}.pir`) and the four analysis
+//! corpora (`tests/analyze/{absint,alias,scev,depend}/*.pir`). Parsing
+//! the header lives here once so the convention cannot drift between
+//! suites.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};

@@ -1,69 +1,21 @@
-//! Golden corpus for the interprocedural abstract interpreter.
-//!
-//! Every `.pir` file under `tests/analyze/absint/` carries an
-//! `; expect: <code>, <code>` header naming exactly the absint lint
-//! codes (`range-trap`, `null-deref`, `dead-branch`) the analysis must
-//! produce for it; a bare header pins a false-positive guard. The files
-//! double as living documentation of what the domain can and cannot
-//! prove (see DESIGN.md §11).
+//! Golden corpus for the interprocedural abstract interpreter: `tests/analyze/absint/` pins the absint lint
+//! codes (`range-trap`, `null-deref`, `dead-branch`) exactly (DESIGN.md §11). The checks are the shared
+//! table-driven harness in `tests/golden/mod.rs`, run on the `absint` row of
+//! `posetrl_analyze::suite::ANALYSES`.
 
-use posetrl_analyze::Severity;
-use posetrl_ir::parser::parse_module;
-use posetrl_suite::test_support::{corpus_files, expected_codes};
-use std::collections::BTreeSet;
-use std::path::Path;
+mod golden;
 
 #[test]
 fn absint_corpus_produces_exactly_the_expected_codes() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/analyze/absint");
-    let files = corpus_files(&dir, ".pir");
-    assert!(files.len() >= 10, "corpus has at least 10 modules");
-
-    let mut positives = 0usize;
-    for path in files {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let expected = expected_codes(&text);
-        let m = parse_module(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
-        posetrl_ir::verifier::verify_module(&m).unwrap_or_else(|e| panic!("{name} verifies: {e}"));
-
-        let mut diags = Vec::new();
-        posetrl_analyze::absint::check(&m, &mut diags);
-        let got: BTreeSet<String> = diags.iter().map(|d| d.code.to_string()).collect();
-        assert_eq!(got, expected, "{name}: absint codes diverge from header");
-        positives += diags.len();
-
-        // the dump mode must render every corpus module without panicking
-        let mi = posetrl_analyze::absint::analyze_module(&m);
-        let dump = posetrl_analyze::absint::render(&m, &mi);
-        assert!(
-            dump.contains(&format!("module {}", m.name)),
-            "{name}: dump names the module"
-        );
-    }
-    assert!(
-        positives >= 10,
-        "the corpus must pin at least 10 true positives, got {positives}"
-    );
+    golden::corpus_produces_exactly_the_expected_codes("absint");
 }
 
 #[test]
 fn absint_lints_are_clean_on_the_example_modules() {
-    // zero false positives on the lint-clean example programs
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/ir");
-    for path in corpus_files(&dir, ".pir") {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let m = parse_module(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
-        let mut diags = Vec::new();
-        posetrl_analyze::absint::check(&m, &mut diags);
-        let findings: Vec<_> = diags
-            .iter()
-            .filter(|d| d.severity >= Severity::Warning)
-            .collect();
-        assert!(
-            findings.is_empty(),
-            "{name}: unexpected findings {findings:?}"
-        );
-    }
+    golden::lints_are_clean_on_the_example_modules("absint");
+}
+
+#[test]
+fn absint_dump_mode_is_stable_on_the_training_suite() {
+    golden::dump_is_stable_on_the_training_suite("absint");
 }

@@ -1,90 +1,21 @@
-//! Golden corpus for the interprocedural alias analysis.
-//!
-//! Every `.pir` file under `tests/analyze/alias/` carries an
-//! `; expect: <code>, <code>` header naming exactly the alias lint codes
-//! (`alias-uaf`, `store-dead`, `uninit-load`, `const-write`) the analysis
-//! must produce for it; a bare header pins a false-positive guard. The
-//! files double as living documentation of what the points-to domain and
-//! the MemorySSA-style dependence builder can and cannot prove (see
-//! DESIGN.md §14).
+//! Golden corpus for the interprocedural alias analysis: `tests/analyze/alias/` pins the alias lint
+//! codes (`alias-uaf`, `store-dead`, `uninit-load`, `const-write`) exactly (DESIGN.md §14). The checks are the shared
+//! table-driven harness in `tests/golden/mod.rs`, run on the `alias` row of
+//! `posetrl_analyze::suite::ANALYSES`.
 
-use posetrl_analyze::Severity;
-use posetrl_ir::parser::parse_module;
-use posetrl_suite::test_support::{corpus_files, expected_codes};
-use std::collections::BTreeSet;
-use std::path::Path;
+mod golden;
 
 #[test]
 fn alias_corpus_produces_exactly_the_expected_codes() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/analyze/alias");
-    let files = corpus_files(&dir, ".pir");
-    assert!(files.len() >= 10, "corpus has at least 10 modules");
-
-    let mut positives = 0usize;
-    for path in files {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let expected = expected_codes(&text);
-        let m = parse_module(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
-        posetrl_ir::verifier::verify_module(&m).unwrap_or_else(|e| panic!("{name} verifies: {e}"));
-
-        let mut diags = Vec::new();
-        posetrl_analyze::alias::check(&m, &mut diags);
-        let got: BTreeSet<String> = diags.iter().map(|d| d.code.to_string()).collect();
-        assert_eq!(got, expected, "{name}: alias codes diverge from header");
-        positives += diags.len();
-
-        // the dump mode must render every corpus module deterministically
-        let ma = posetrl_analyze::alias::analyze_module(&m);
-        let dump = posetrl_analyze::alias::render(&m, &ma);
-        assert!(
-            dump.contains(&format!("module {}", m.name)),
-            "{name}: dump names the module"
-        );
-        let ma2 = posetrl_analyze::alias::analyze_module(&m);
-        assert_eq!(
-            dump,
-            posetrl_analyze::alias::render(&m, &ma2),
-            "{name}: two runs render identically"
-        );
-    }
-    assert!(
-        positives >= 10,
-        "the corpus must pin at least 10 true positives, got {positives}"
-    );
+    golden::corpus_produces_exactly_the_expected_codes("alias");
 }
 
 #[test]
 fn alias_lints_are_clean_on_the_example_modules() {
-    // zero false positives at warning severity on the lint-clean example
-    // programs (store-dead notes are advisory and excluded)
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/ir");
-    for path in corpus_files(&dir, ".pir") {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let m = parse_module(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
-        let mut diags = Vec::new();
-        posetrl_analyze::alias::check(&m, &mut diags);
-        let findings: Vec<_> = diags
-            .iter()
-            .filter(|d| d.severity >= Severity::Warning)
-            .collect();
-        assert!(
-            findings.is_empty(),
-            "{name}: unexpected findings {findings:?}"
-        );
-    }
+    golden::lints_are_clean_on_the_example_modules("alias");
 }
 
 #[test]
 fn alias_dump_mode_is_stable_on_the_training_suite() {
-    // the solver must terminate and render deterministically on every
-    // generated workload, not just the hand-written corpus
-    for b in posetrl_workloads::suites::training_suite().iter().take(8) {
-        let ma = posetrl_analyze::alias::analyze_module(&b.module);
-        let dump = posetrl_analyze::alias::render(&b.module, &ma);
-        let ma2 = posetrl_analyze::alias::analyze_module(&b.module);
-        let dump2 = posetrl_analyze::alias::render(&b.module, &ma2);
-        assert_eq!(dump, dump2, "{}: nondeterministic alias dump", b.name);
-    }
+    golden::dump_is_stable_on_the_training_suite("alias");
 }

@@ -1,49 +1,40 @@
-//! Nightly SCEV sweep (opt-in: `POSETRL_SCEV_SWEEP=1`).
+//! Nightly validator sweeps of the lint-producing analyses, one test per
+//! row of [`posetrl_analyze::suite::ANALYSES`] (opt-in:
+//! `POSETRL_ANALYSIS_SWEEP=1`; `cargo test --test analysis_sweep alias`
+//! runs one; `POSETRL_ANALYSIS_SWEEP_STEP=n` samples every n-th module
+//! for quick local measurements, nightly runs at 1).
 //!
-//! Runs the scalar-evolution lints over the whole training corpus and
-//! applies every trip-count-consuming pass (`indvars`, `loop-unroll`,
-//! `loop-unroll-aggressive`, `loop-vectorize`; raw and behind two
-//! canonicalizing prefixes), discharging every module-changing
-//! application through the symbolic translation validator. Archives
-//! lint counts, the trip-count classification census and the
-//! proved/refuted/inconclusive rewrite rates as
-//! `results/scev_sweep.json` for the nightly CI artifact.
+//! Each sweep runs the analysis's lints and facts over the training
+//! corpus and applies every consumer pass raw and behind the entry's two
+//! canonicalizing prefixes, discharging every module-changing application
+//! through the symbolic translation validator. It archives lint counts,
+//! facts and the proved/refuted/inconclusive rewrite rates as
+//! `results/<name>_sweep.json` for the nightly CI artifact.
 //!
-//! The hard gate: **zero refuted applications**. An inconclusive
-//! verdict is acceptable (the validator's budgets are finite) and its
-//! rate is reported; a refutation means a pass trusted a trip count or
-//! recurrence the analysis did not actually prove.
+//! The hard gates: **zero refuted applications** (a refutation means a
+//! pass trusted a fact the analysis did not actually prove), and at least
+//! one changed application (otherwise the sweep measured nothing). An
+//! inconclusive verdict is acceptable (the validator's budgets are
+//! finite) and its rate is reported.
 
+use posetrl_analyze::suite::{self, Facts};
 use posetrl_analyze::{validate_transform, ValidateConfig};
 use posetrl_ir::printer::print_module;
 use posetrl_opt::manager::PassManager;
 use std::collections::BTreeMap;
 
-#[test]
-fn scev_sweep_archives_lint_counts_and_rewrite_rates() {
-    if std::env::var("POSETRL_SCEV_SWEEP").is_err() {
+fn sweep(name: &str) {
+    if std::env::var("POSETRL_ANALYSIS_SWEEP").is_err() {
         return; // nightly CI sets the variable; the default run skips
     }
-    // corpus stride for quick local measurements; nightly runs at 1
-    let step: usize = posetrl_analyze::env_budget_or_usage("POSETRL_SCEV_SWEEP_STEP", 1);
+    let a = suite::find(name).expect("the analysis is in the table");
+    let step: usize = posetrl_analyze::env_budget_or_usage("POSETRL_ANALYSIS_SWEEP_STEP", 1);
     let pm = PassManager::new();
     let cfg = ValidateConfig::from_env();
 
-    const PASSES: [&str; 4] = [
-        "indvars",
-        "loop-unroll",
-        "loop-unroll-aggressive",
-        "loop-vectorize",
-    ];
-    const PREFIXES: [&[&str]; 3] = [
-        &[],
-        &["mem2reg", "instcombine"],
-        &["loop-simplify", "simplifycfg"],
-    ];
-
     let mut modules = 0usize;
     let mut lint_counts: BTreeMap<String, usize> = BTreeMap::new();
-    let mut trips: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut facts = Facts::default();
     let mut applications = 0usize;
     let mut changed = 0usize;
     let mut proved = 0usize;
@@ -55,29 +46,16 @@ fn scev_sweep_archives_lint_counts_and_rewrite_rates() {
     for b in posetrl_workloads::training_suite().iter().step_by(step) {
         modules += 1;
         let mut diags = Vec::new();
-        posetrl_analyze::scev::check(&b.module, &mut diags);
+        (a.check)(&b.module, &mut diags);
         for d in &diags {
             *lint_counts.entry(d.code.to_string()).or_default() += 1;
         }
-        let ms = posetrl_analyze::scev::analyze_module(&b.module);
-        for fr in ms.funcs.values() {
-            for l in &fr.loops {
-                use posetrl_analyze::scev::TripCount;
-                let class = match l.trip {
-                    TripCount::Exact(_) => "exact",
-                    TripCount::Bounded(_) => "bounded",
-                    TripCount::Unknown => "unknown",
-                };
-                *trips.entry(class).or_default() += 1;
-            }
-        }
+        (a.facts)(&b.module, &mut facts);
 
-        for pass in PASSES {
-            for prefix in PREFIXES {
+        for &pass in a.consumers {
+            for prefix in a.sweep_prefixes {
                 let mut m = b.module.clone();
-                for p in prefix {
-                    pm.run_pass(&mut m, p).unwrap();
-                }
+                pm.run_pipeline(&mut m, prefix).unwrap();
                 let pre = m.clone();
                 pm.run_pass(&mut m, pass).unwrap();
                 applications += 1;
@@ -116,33 +94,50 @@ fn scev_sweep_archives_lint_counts_and_rewrite_rates() {
         "inconclusive_rate": inconclusive_rate,
         "per_pass": passes,
     });
-    let trips: BTreeMap<String, usize> =
-        trips.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
     let payload = serde_json::json!({
         "modules": modules,
         "lints": lint_counts,
-        "trip_counts": trips,
+        "facts": facts.to_json(),
         "consumers": consumers,
         "refutations": refutations,
     });
     std::fs::create_dir_all("results").unwrap();
     std::fs::write(
-        "results/scev_sweep.json",
+        format!("results/{name}_sweep.json"),
         serde_json::to_string_pretty(&payload).unwrap(),
     )
     .unwrap();
     eprintln!(
-        "[scev-sweep] {modules} modules: {applications} consumer applications \
+        "[{name}-sweep] {modules} modules: {applications} consumer applications \
          ({changed} changed): {proved} proved, {refuted} refuted, \
          {inconclusive} inconclusive (proved rate {proved_rate:.3})"
     );
 
     assert_eq!(
         refuted, 0,
-        "scev-backed rewrites were refuted: {refutations:?}"
+        "{name}-backed rewrites were refuted: {refutations:?}"
     );
     assert!(
         changed > 0,
-        "no scev consumer ever fired on the corpus — the sweep measured nothing"
+        "no {name} consumer ever fired on the corpus — the sweep measured nothing"
     );
 }
+
+macro_rules! sweep_tests {
+    ($($name:ident),*) => {
+        $(
+            #[test]
+            fn $name() {
+                sweep(stringify!($name));
+            }
+        )*
+
+        #[test]
+        fn every_table_entry_has_a_sweep() {
+            let table: Vec<&str> = suite::ANALYSES.iter().map(|a| a.name).collect();
+            assert_eq!(table, [$(stringify!($name)),*]);
+        }
+    };
+}
+
+sweep_tests!(absint, alias, scev, depend);
