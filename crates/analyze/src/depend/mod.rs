@@ -24,8 +24,8 @@
 //!   ([`crate::alias`]); a may-alias answer is a conservative unknown
 //!   dependence, a no-alias answer discharges the pair.
 //!
-//! Per loop the analysis derives three legality verdicts consumed by
-//! `-loop-vec` / `-loop-fuse` in `posetrl-opt`: `parallel_safe` (no
+//! Per loop the analysis derives three legality verdicts, read by the
+//! static features (dims 48–55) and the corpus census: `parallel_safe` (no
 //! loop-carried dependence at all), `min_distance` (the least carried
 //! distance when every carried dependence has a proved one), and
 //! `vector_safe` (parallel, or all carried distances proved and ≥ 2 so

@@ -1,10 +1,10 @@
 //! The table of lint-producing analyses.
 //!
 //! absint, alias, scev and depend each produce lints, render a stable
-//! textual dump, feed a set of consumer passes and report a handful of
-//! corpus-level numbers. [`ANALYSES`] records those facts once, and every
-//! harness reads them from here: the golden corpus harness
-//! (`tests/golden/mod.rs`), the nightly validator sweep
+//! textual dump, feed a (possibly empty) set of consumer passes and
+//! report a handful of corpus-level numbers. [`ANALYSES`] records those
+//! facts once, and every harness reads them from here: the golden corpus
+//! harness (`tests/golden/mod.rs`), the nightly validator sweep
 //! (`tests/analysis_sweep.rs`), the corpus census (`repro <name>stats`),
 //! the `mini-analyze --<name>` dump mode and the CI matrix. Adding a
 //! fifth analysis means adding a row here, a golden directory
@@ -34,7 +34,8 @@ pub struct Analysis {
     /// that a malformed `POSETRL_*` budget knob is an error (the CLI's
     /// usage error) instead of a fallback to the default.
     pub lint_and_dump: fn(&Module) -> Report,
-    /// Passes whose rewrites trust this analysis's facts.
+    /// Passes whose rewrites trust this analysis's facts. The nightly
+    /// sweep covers exactly the analyses with at least one.
     pub consumers: &'static [&'static str],
     /// Passes the census runs first, so the analysis sees the module in
     /// the shape its consumers see mid-pipeline.
@@ -123,7 +124,9 @@ pub const ANALYSES: [Analysis; 4] = [
             depend::lint_with(m, &ms, &ma, &mut out);
             Ok((depend::render(m, &md), out))
         },
-        consumers: &["loop-vec", "loop-fuse"],
+        // no pass trusts dependence verdicts: depend feeds lints, the
+        // census and static feature dims 48-55 only
+        consumers: &[],
         canonicalize: LOOP_CANON,
         sweep_prefixes: LOOP_PREFIXES,
         facts: depend_facts,

@@ -1,7 +1,7 @@
 //! Throughput of the loop data-dependence analysis: the full module
-//! pass (the `loop-vec`/`loop-fuse` legality front-end and the depend
-//! lints) and the same analysis through a warmed incremental manager,
-//! where every per-function leaf is a memo hit.
+//! pass (the front-end of the depend lints and feature dims 48–55) and
+//! the same analysis through a warmed incremental manager, where every
+//! per-function leaf is a memo hit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use posetrl_analyze::{depend, IncrementalAnalysisManager};

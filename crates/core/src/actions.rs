@@ -23,17 +23,6 @@ impl ActionSet {
         ActionSet::from_space(&ActionSpace::odg())
     }
 
-    /// Table II plus the dependence-gated loop transforms (`loop-vec`,
-    /// `loop-fuse`). The 15 paper actions keep their indices.
-    pub fn manual_extended() -> ActionSet {
-        ActionSet::from_space(&ActionSpace::manual_extended())
-    }
-
-    /// Table III plus the dependence-gated loop transforms.
-    pub fn odg_extended() -> ActionSet {
-        ActionSet::from_space(&ActionSpace::odg_extended())
-    }
-
     /// Converts one of the paper's action spaces.
     pub fn from_space(space: &ActionSpace) -> ActionSet {
         ActionSet {
@@ -102,25 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn extended_sets_append_the_depend_transforms() {
-        let ext = ActionSet::manual_extended();
-        assert_eq!(ext.len(), 17);
-        assert_eq!(ext.sequences[..15], ActionSet::manual().sequences[..]);
-        assert_eq!(ext.passes(15), ["loop-simplify", "loop-vec"]);
-        assert_eq!(ext.passes(16), ["loop-simplify", "loop-fuse"]);
-        let odg_ext = ActionSet::odg_extended();
-        assert_eq!(odg_ext.len(), 36);
-        assert_eq!(odg_ext.name, "ODG+depend");
-    }
-
-    #[test]
     fn all_actions_resolve_in_the_pass_manager() {
         let pm = posetrl_opt::manager::PassManager::new();
         for set in [
             ActionSet::manual(),
             ActionSet::odg(),
-            ActionSet::manual_extended(),
-            ActionSet::odg_extended(),
             ActionSet::single_passes(),
         ] {
             for i in 0..set.len() {

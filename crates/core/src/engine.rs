@@ -303,14 +303,7 @@ impl RoundCtx<'_> {
                 oz_size,
                 module,
             } => {
-                let mut state = env.reset(module);
-                loop {
-                    let r = env.step(self.policy.act_greedy(&state));
-                    state = r.state;
-                    if r.done {
-                        break;
-                    }
-                }
+                env.greedy_rollout(module, |s| self.policy.act_greedy(s));
                 let model_size = object_size(env.module(), self.config.trainer.env.arch).total;
                 let size_reduction_pct =
                     100.0 * (oz_size as f64 - model_size as f64) / oz_size as f64;

@@ -372,6 +372,22 @@ impl PhaseEnv {
         }
     }
 
+    /// The greedy inference loop: resets on `module` and applies the
+    /// action `pick` chooses for each state until the episode ends. The
+    /// optimized module and the applied actions are left in the
+    /// environment. Every greedy rollout (inference, serving, the
+    /// engine's validation sweeps) runs through here.
+    pub fn greedy_rollout(&mut self, module: Module, pick: impl Fn(&[f64]) -> usize) {
+        let mut state = self.reset(module);
+        loop {
+            let r = self.step(pick(&state));
+            if r.done {
+                break;
+            }
+            state = r.state;
+        }
+    }
+
     /// Runs action `a`'s pass sub-sequence on the current module in place.
     ///
     /// With a sanitizer attached, every applied pass is re-checked (and at

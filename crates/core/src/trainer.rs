@@ -178,19 +178,11 @@ impl TrainedModel {
         (env.module().clone(), env.applied_actions().to_vec())
     }
 
-    /// The greedy inference loop: resets `env` on `module` and applies
-    /// `argmax Q` until the episode ends. The optimized module and the
-    /// applied actions are left in `env`, which the caller prepares (arch,
-    /// episode length, cache, sanitizer).
+    /// [`PhaseEnv::greedy_rollout`] of `argmax Q`: the optimized module
+    /// and the applied actions are left in `env`, which the caller
+    /// prepares (arch, episode length, cache, sanitizer).
     pub fn rollout(&self, env: &mut PhaseEnv, module: posetrl_ir::Module) {
-        let mut state = env.reset(module);
-        loop {
-            let r = env.step(self.agent.act_greedy(&state));
-            if r.done {
-                break;
-            }
-            state = r.state;
-        }
+        env.greedy_rollout(module, |s| self.agent.act_greedy(s));
     }
 }
 

@@ -40,12 +40,6 @@ pub enum ActionSpaceKind {
     Manual,
     /// Table III: 34 ODG-derived sub-sequences.
     Odg,
-    /// Table II plus the dependence-gated loop transforms
-    /// (`loop-vec`, `loop-fuse`). The paper's 15 sub-sequences keep
-    /// their indices; the extras are appended.
-    ManualExtended,
-    /// Table III plus the dependence-gated loop transforms.
-    OdgExtended,
 }
 
 impl ActionSpaceKind {
@@ -54,19 +48,9 @@ impl ActionSpaceKind {
         match self {
             ActionSpaceKind::Manual => "manual",
             ActionSpaceKind::Odg => "ODG",
-            ActionSpaceKind::ManualExtended => "manual+depend",
-            ActionSpaceKind::OdgExtended => "ODG+depend",
         }
     }
 }
-
-/// The appended actions of the extended spaces: each dependence-gated
-/// transform is preceded by `loop-simplify` so the canonical-loop matcher
-/// sees preheaders and dedicated exits.
-pub const DEPEND_SUBSEQUENCES: [&[&str]; 2] = [
-    &["loop-simplify", "loop-vec"],
-    &["loop-simplify", "loop-fuse"],
-];
 
 /// An RL action space: an indexed set of pass sub-sequences.
 #[derive(Debug, Clone, Serialize)]
@@ -92,36 +76,6 @@ impl ActionSpace {
         ActionSpace {
             kind: ActionSpaceKind::Odg,
             subsequences: walks::ODG_SUBSEQUENCES.iter().map(|s| s.to_vec()).collect(),
-        }
-    }
-
-    /// Table II extended with the dependence-gated loop transforms
-    /// ([`DEPEND_SUBSEQUENCES`]). The paper-pinned 15 actions keep their
-    /// indices, so a policy trained on [`ActionSpace::manual`] transfers.
-    pub fn manual_extended() -> ActionSpace {
-        let mut s = ActionSpace::manual();
-        s.kind = ActionSpaceKind::ManualExtended;
-        s.subsequences
-            .extend(DEPEND_SUBSEQUENCES.iter().map(|s| s.to_vec()));
-        s
-    }
-
-    /// Table III extended with the dependence-gated loop transforms.
-    pub fn odg_extended() -> ActionSpace {
-        let mut s = ActionSpace::odg();
-        s.kind = ActionSpaceKind::OdgExtended;
-        s.subsequences
-            .extend(DEPEND_SUBSEQUENCES.iter().map(|s| s.to_vec()));
-        s
-    }
-
-    /// Builds the action space of `kind`.
-    pub fn of(kind: ActionSpaceKind) -> ActionSpace {
-        match kind {
-            ActionSpaceKind::Manual => ActionSpace::manual(),
-            ActionSpaceKind::Odg => ActionSpace::odg(),
-            ActionSpaceKind::ManualExtended => ActionSpace::manual_extended(),
-            ActionSpaceKind::OdgExtended => ActionSpace::odg_extended(),
         }
     }
 
@@ -159,6 +113,7 @@ impl ActionSpace {
 mod tests {
     use super::*;
     use posetrl_opt::manager::PassManager;
+    use std::collections::BTreeSet;
 
     #[test]
     fn action_spaces_have_paper_sizes() {
@@ -175,31 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn extended_spaces_append_without_renumbering() {
-        let manual = ActionSpace::manual();
-        let ext = ActionSpace::manual_extended();
-        assert_eq!(ext.len(), manual.len() + DEPEND_SUBSEQUENCES.len());
-        for (i, seq) in manual.subsequences().iter().enumerate() {
-            assert_eq!(ext.subsequence(i), seq.as_slice(), "pinned index {i}");
-        }
-        assert_eq!(ext.subsequence(15), ["loop-simplify", "loop-vec"]);
-        assert_eq!(ext.subsequence(16), ["loop-simplify", "loop-fuse"]);
-        let odg_ext = ActionSpace::odg_extended();
-        assert_eq!(odg_ext.len(), 36);
-        assert_eq!(odg_ext.subsequence(34), ["loop-simplify", "loop-vec"]);
-        assert_eq!(ActionSpace::of(ActionSpaceKind::OdgExtended).len(), 36);
-        assert_eq!(odg_ext.kind().name(), "ODG+depend");
-    }
-
-    #[test]
     fn every_action_resolves_to_registered_passes() {
         let pm = PassManager::new();
-        for space in [
-            ActionSpace::manual(),
-            ActionSpace::odg(),
-            ActionSpace::manual_extended(),
-            ActionSpace::odg_extended(),
-        ] {
+        for space in [ActionSpace::manual(), ActionSpace::odg()] {
             for (i, seq) in space.subsequences().iter().enumerate() {
                 for pass in seq {
                     assert!(
@@ -210,6 +143,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The converse guard: a pass that no named pipeline, paper table or
+    /// analysis consumer list reaches is dead weight in the roster.
+    #[test]
+    fn every_registered_pass_is_reached() {
+        let mut reached: BTreeSet<&str> = BTreeSet::new();
+        for level in ["O0", "O1", "O2", "O3", "Os", "Oz"] {
+            reached.extend(posetrl_opt::pipelines::by_name(level).unwrap());
+        }
+        for space in [ActionSpace::manual(), ActionSpace::odg()] {
+            reached.extend(space.subsequences().iter().flatten());
+        }
+        for a in &posetrl_analyze::suite::ANALYSES {
+            reached.extend(a.consumers);
+        }
+        let registered = PassManager::new().pass_names();
+        let orphans: Vec<&str> = registered
+            .iter()
+            .copied()
+            .filter(|p| !reached.contains(p))
+            .collect();
+        assert!(orphans.is_empty(), "passes nothing reaches: {orphans:?}");
     }
 
     #[test]

@@ -64,6 +64,12 @@ fn main() {
         }
     }
 
+    // reject a bad pass name before blocking on stdin for the input
+    if let Some(bad) = passes.iter().find(|p| !pm.has_pass(p)) {
+        eprintln!("mini-opt: unknown pass '{bad}' (see `mini-opt -passes`)");
+        std::process::exit(exit_codes::USAGE);
+    }
+
     let text = match file {
         Some(path) => std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("mini-opt: cannot read {path}: {e}");
@@ -105,10 +111,7 @@ fn main() {
     let san = Sanitizer::new(level);
     match pm.run_pipeline_sanitized(&mut module, &passes, &san) {
         Ok(_) => {}
-        Err(PipelineError::UnknownPass(e)) => {
-            eprintln!("mini-opt: {e} (see `mini-opt -passes`)");
-            std::process::exit(exit_codes::USAGE);
-        }
+        Err(PipelineError::UnknownPass(e)) => unreachable!("checked before reading input: {e}"),
         Err(PipelineError::Sanitizer { pass, verdict }) => {
             eprintln!("mini-opt: INTERNAL ERROR — pass '{pass}' miscompiled the module");
             eprintln!("{}", verdict.render());

@@ -11,7 +11,6 @@ pub mod inline;
 pub mod instcombine;
 pub mod ipo;
 pub mod licm;
-pub mod loop_fusion;
 pub mod loop_misc;
 pub mod loop_rotate;
 pub mod loop_simplify;
@@ -64,8 +63,6 @@ pub fn all_passes() -> Vec<Box<dyn Pass + Send + Sync>> {
         Box::new(loop_misc::LoopUnswitch::oz()),
         Box::new(loop_misc::LoopUnswitch::aggressive()),
         Box::new(loop_misc::LoopDistribute),
-        Box::new(loop_fusion::LoopVecJam),
-        Box::new(loop_fusion::LoopFuse),
         // interprocedural
         Box::new(inline::Inline::default()),
         Box::new(inline::Inline::aggressive()),
