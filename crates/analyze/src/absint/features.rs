@@ -116,8 +116,8 @@ pub fn features_with(m: &Module, mi: &ModuleAbsint) -> [f64; FEATURE_DIM] {
 /// shared absint facts (bit-identical to [`features_full`] on the
 /// same inputs).
 pub fn features_with_alias(m: &Module, mi: &ModuleAbsint, ma: &ModuleAlias) -> [f64; FEATURE_DIM] {
-    let sc = crate::scev::analyze_module_cfg_absint(m, mi, &ScevConfig::from_env(), None);
-    let md = crate::depend::analyze_module_full(m, &sc, ma, &DependConfig::from_env(), None);
+    let sc = crate::scev::analyze_module_cfg_absint(m, mi, &ScevConfig::default(), None);
+    let md = crate::depend::analyze_module_full(m, &sc, ma, &DependConfig::default(), None);
     features_full(m, mi, ma, &sc, &md)
 }
 

@@ -16,11 +16,8 @@
 //! The abstract memory objects are allocation sites ([`MemObj::Alloca`]),
 //! globals, function addresses (so `&@f` escapes are tracked) and the
 //! symbolic argument objects. A points-to set ([`PtsSet`]) is a bounded
-//! object set with an explicit ⊤; the `POSETRL_ALIAS_PTS` budget
-//! saturates oversized sets to ⊤ and `POSETRL_ALIAS_ITERS` caps the
-//! per-function constraint iterations (both via the structured
-//! [`crate::validate::EnvParseError`] scheme shared with
-//! `POSETRL_VALIDATE_*`).
+//! object set with an explicit ⊤; the [`AliasConfig`] budgets saturate
+//! oversized sets to ⊤ and cap the per-function constraint iterations.
 //!
 //! On top of the points-to solution, [`memdep`] builds a MemorySSA-style
 //! per-function [`MemDep`]: reaching may-def chains for
@@ -42,12 +39,11 @@
 pub mod memdep;
 
 use crate::diag::{codes, Diagnostic};
-use crate::validate::{parse_env_budget, EnvParseError};
 use memdep::MemDep;
 use posetrl_ir::{FuncId, Function, InstId, Module, Op, SourceLoc, Ty, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// Budgets of the constraint solver. Env-tunable via `POSETRL_ALIAS_*`.
+/// Budgets of the constraint solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AliasConfig {
     /// Maximum constraint-propagation sweeps per function before every
@@ -64,44 +60,6 @@ impl Default for AliasConfig {
             max_iters: 64,
             pts_cap: 16,
         }
-    }
-}
-
-impl AliasConfig {
-    /// Reads the budgets through `lookup` (`POSETRL_ALIAS_ITERS`,
-    /// `POSETRL_ALIAS_PTS`). Unset knobs fall back to the defaults;
-    /// malformed knobs are a structured error, consistent with the
-    /// `POSETRL_VALIDATE_*` scheme.
-    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
-        let d = AliasConfig::default();
-        Ok(AliasConfig {
-            max_iters: parse_env_budget(
-                "POSETRL_ALIAS_ITERS",
-                lookup("POSETRL_ALIAS_ITERS").as_deref(),
-                d.max_iters,
-            )?,
-            pts_cap: parse_env_budget(
-                "POSETRL_ALIAS_PTS",
-                lookup("POSETRL_ALIAS_PTS").as_deref(),
-                d.pts_cap,
-            )?,
-        })
-    }
-
-    /// [`AliasConfig::from_vars`] over the process environment.
-    pub fn try_from_env() -> Result<Self, EnvParseError> {
-        Self::from_vars(|k| std::env::var(k).ok())
-    }
-
-    /// Like [`AliasConfig::try_from_env`], but for callers that cannot
-    /// propagate the error (engine hot paths): malformed knobs are
-    /// reported on stderr and the defaults are used. CLIs should prefer
-    /// `try_from_env` and exit with a usage error.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| {
-            eprintln!("posetrl-analyze: {e}; using the default alias budgets");
-            AliasConfig::default()
-        })
     }
 }
 
@@ -870,10 +828,9 @@ pub fn analyze_function(
 /// saturate to ⊤ (mirrors the absint SCC schedule).
 const SCC_ITER_LIMIT: usize = 24;
 
-/// Runs the interprocedural analysis over `m` with env-configured
-/// budgets.
+/// Runs the interprocedural analysis over `m` with the default budgets.
 pub fn analyze_module(m: &Module) -> ModuleAlias {
-    analyze_module_cfg(m, &AliasConfig::from_env(), None)
+    analyze_module_cfg(m, &AliasConfig::default(), None)
 }
 
 /// [`analyze_module`], optionally memoizing per-function analyses
@@ -882,7 +839,7 @@ pub fn analyze_module_with(
     m: &Module,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleAlias {
-    analyze_module_cfg(m, &AliasConfig::from_env(), mgr)
+    analyze_module_cfg(m, &AliasConfig::default(), mgr)
 }
 
 /// The full driver: bottom-up SCC schedule identical with and without a
@@ -1535,19 +1492,5 @@ bb0:
         assert!(a.contains("fn @main"));
         assert!(a.contains("mod: "), "{a}");
         assert!(a.contains("<- defs"), "{a}");
-    }
-
-    #[test]
-    fn env_knobs_parse_with_structured_errors() {
-        let cfg = AliasConfig::from_vars(|_| None).unwrap();
-        assert_eq!(cfg, AliasConfig::default());
-        let cfg = AliasConfig::from_vars(|k| (k == "POSETRL_ALIAS_PTS").then(|| "3".to_string()))
-            .unwrap();
-        assert_eq!(cfg.pts_cap, 3);
-        let e =
-            AliasConfig::from_vars(|k| (k == "POSETRL_ALIAS_ITERS").then(|| "many".to_string()))
-                .unwrap_err();
-        assert_eq!(e.key, "POSETRL_ALIAS_ITERS");
-        assert_eq!(e.value, "many");
     }
 }

@@ -17,8 +17,7 @@
 //!   [`posetrl_analyze::suite::ANALYSES`]; one per run, a second mode
 //!   flag is a usage error) switches to that analysis's mode: its facts
 //!   are dumped in the stable textual format of the module's `render`,
-//!   only its lints contribute findings, and budgets come from its
-//!   `POSETRL_<ANALYSIS>_*` knobs. Exit codes are unchanged.
+//!   and only its lints contribute findings. Exit codes are unchanged.
 //! - `--list-lints` prints the full lint registry (code, severity,
 //!   producing analysis) as JSON and exits 0.
 //! - `--json` prints one JSON object per module instead of text lines.
@@ -145,13 +144,10 @@ fn lint(name: &str, m: &Module, opts: &Options) -> Vec<Diagnostic> {
     let mut dump = None;
     let diags = match (verify_module(m), opts.analysis) {
         (Ok(()), Some(a)) => {
-            // budgets are env-tunable; a malformed knob is a usage error
-            let (facts, mut out) = (a.lint_and_dump)(m).unwrap_or_else(|e| {
-                eprintln!("mini-analyze: {e}");
-                std::process::exit(exit_codes::USAGE);
-            });
+            let mut out = Vec::new();
+            (a.check)(m, &mut out);
             posetrl_analyze::analyses::sort_report(&mut out);
-            dump = Some(facts);
+            dump = Some((a.dump)(m));
             out
         }
         (Ok(()), None) => run_all(m),

@@ -49,13 +49,11 @@
 use crate::alias::{MemObj, ModuleAlias};
 use crate::diag::{codes, Diagnostic};
 use crate::scev::{LoopScev, ModuleScev, ScevFnResult};
-use crate::validate::{parse_env_budget, EnvParseError};
 use posetrl_ir::{BlockId, FuncId, Function, InstId, Module, Op, SourceLoc, Ty, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Budgets of the dependence engine. Env-tunable via
-/// `POSETRL_DEPEND_*`.
+/// Budgets of the dependence engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependConfig {
     /// Maximum memory accesses collected per loop; a loop over budget
@@ -72,43 +70,6 @@ impl Default for DependConfig {
             max_accesses: 256,
             max_pairs: 4096,
         }
-    }
-}
-
-impl DependConfig {
-    /// Reads the budgets through `lookup` (`POSETRL_DEPEND_ACCESSES`,
-    /// `POSETRL_DEPEND_PAIRS`). Unset knobs fall back to the defaults;
-    /// malformed knobs are a structured error, consistent with the
-    /// `POSETRL_VALIDATE_*` scheme.
-    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
-        let d = DependConfig::default();
-        Ok(DependConfig {
-            max_accesses: parse_env_budget(
-                "POSETRL_DEPEND_ACCESSES",
-                lookup("POSETRL_DEPEND_ACCESSES").as_deref(),
-                d.max_accesses,
-            )?,
-            max_pairs: parse_env_budget(
-                "POSETRL_DEPEND_PAIRS",
-                lookup("POSETRL_DEPEND_PAIRS").as_deref(),
-                d.max_pairs,
-            )?,
-        })
-    }
-
-    /// [`DependConfig::from_vars`] over the process environment.
-    pub fn try_from_env() -> Result<Self, EnvParseError> {
-        Self::from_vars(|k| std::env::var(k).ok())
-    }
-
-    /// Like [`DependConfig::try_from_env`], but for callers that cannot
-    /// propagate the error: malformed knobs are reported on stderr and
-    /// the defaults are used.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| {
-            eprintln!("posetrl-analyze: {e}; using the default depend budgets");
-            DependConfig::default()
-        })
     }
 }
 
@@ -581,10 +542,10 @@ fn analyze_loop(
 // Module driver
 // ---------------------------------------------------------------------------
 
-/// Runs the analysis over `m` with env-configured budgets (scev and
+/// Runs the analysis over `m` with the default budgets (scev and
 /// alias run internally).
 pub fn analyze_module(m: &Module) -> ModuleDepend {
-    analyze_module_cfg(m, &DependConfig::from_env(), None)
+    analyze_module_cfg(m, &DependConfig::default(), None)
 }
 
 /// [`analyze_module`], optionally memoizing per-function analyses
@@ -593,7 +554,7 @@ pub fn analyze_module_with(
     m: &Module,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleDepend {
-    analyze_module_cfg(m, &DependConfig::from_env(), mgr)
+    analyze_module_cfg(m, &DependConfig::default(), mgr)
 }
 
 /// [`analyze_module_full`] with freshly computed (or memo-served) scev
@@ -1224,16 +1185,6 @@ bb3:
         assert_eq!(r1, render(&m2, &md2));
         assert!(r1.contains("vector-safe yes parallel-safe no"), "{r1}");
         assert!(r1.contains("carried distance 2"), "{r1}");
-    }
-
-    #[test]
-    fn config_rejects_malformed_env() {
-        let err = DependConfig::from_vars(|k| {
-            (k == "POSETRL_DEPEND_PAIRS").then(|| "banana".to_string())
-        });
-        assert!(err.is_err());
-        let ok = DependConfig::from_vars(|_| None).unwrap();
-        assert_eq!(ok, DependConfig::default());
     }
 
     #[test]

@@ -59,10 +59,6 @@
 //! worker count and any interleaving. Every class is the same bounded
 //! first-write-wins FIFO table ([`crate::memo`]) that also backs the
 //! `EvalCache` shards and the server's response store.
-//!
-//! The manager is enabled by default; `POSETRL_INCREMENTAL=0` (or
-//! `false`/`off`) disables it process-wide. Tests drive the explicit
-//! constructors instead of the environment so they stay parallel-safe.
 
 use crate::absint::domain::AbsVal;
 use crate::absint::FuncFacts;
@@ -189,24 +185,6 @@ impl IncrementalAnalysisManager {
         }
     }
 
-    /// Whether `POSETRL_INCREMENTAL` leaves incremental analysis on
-    /// (absent, or anything but `0`/`false`/`off`).
-    pub fn enabled_from_env() -> bool {
-        match std::env::var("POSETRL_INCREMENTAL") {
-            Ok(v) => {
-                let v = v.trim().to_ascii_lowercase();
-                !(v == "0" || v == "false" || v == "off")
-            }
-            Err(_) => true,
-        }
-    }
-
-    /// A fresh shared manager when the environment leaves incremental
-    /// analysis on.
-    pub fn from_env() -> Option<Arc<IncrementalAnalysisManager>> {
-        Self::enabled_from_env().then(|| Arc::new(Self::new()))
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> IncrementalStats {
         IncrementalStats {
@@ -304,14 +282,5 @@ mod tests {
         let misses: Vec<_> = classes.iter().map(|(name, c)| (*name, c.misses)).collect();
         assert!(misses.contains(&("lint", 1)));
         assert_eq!(misses.iter().map(|(_, m)| m).sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn env_gate_defaults_on() {
-        // Do not mutate the process environment here (tests run in
-        // parallel); just pin the unset-variable default.
-        if std::env::var("POSETRL_INCREMENTAL").is_err() {
-            assert!(IncrementalAnalysisManager::enabled_from_env());
-        }
     }
 }

@@ -54,8 +54,8 @@ pub use incremental::{IncrementalAnalysisManager, IncrementalStats};
 pub use memo::{BoundedMap, ClassStats, Memo};
 pub use profile::{FnProfile, ModuleProfile};
 pub use sanitizer::{
-    check_sanitize_env, expect_verified, MiscompileReport, ParseLevelError, SanitizeLevel,
-    Sanitizer, SanitizerStats, TransformVerdict,
+    expect_verified, MiscompileReport, ParseLevelError, SanitizeLevel, Sanitizer, SanitizerStats,
+    TransformVerdict,
 };
 pub use scev::{AddRec, LoopScev, ModuleScev, ScevConfig, ScevFnResult, TripCount};
 pub use validate::{

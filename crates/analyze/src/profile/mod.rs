@@ -1,10 +1,9 @@
 //! Static branch-probability heuristics and block-frequency estimates.
 //!
-//! The cycle estimators in `posetrl-target` historically treated every
-//! basic block as executing once (`flat_cycles`) or weighted it by a
-//! fixed `8^depth` loop factor (`weighted_cycles`). Neither sees *which*
-//! path through a function is hot: a cold error branch and the loop body
-//! it guards weigh the same. This module closes that gap the way
+//! The `llvm-mca` stand-in in `posetrl-target` treats every basic block
+//! as executing once (`flat_cycles`). It cannot see *which* path through
+//! a function is hot: a cold error branch and the loop body it guards
+//! weigh the same. This module closes that gap the way
 //! `-branch-prob`/`-block-freq` do in LLVM, but purely statically:
 //!
 //! 1. **Branch probabilities** per conditional branch, from ordered

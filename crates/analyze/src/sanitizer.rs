@@ -27,14 +27,13 @@
 //!
 //! Reduction and differential execution are budgeted: the delta reducer
 //! stops at `MAX_REDUCTION_ATTEMPTS` predicate runs *or* a wall-clock
-//! deadline (`POSETRL_SANITIZE_REDUCE_MS`, default 30 000 ms), emitting
-//! whatever repro it has at that point; the interpreter fuel of every
-//! differential run is `POSETRL_SANITIZE_DIFF_FUEL` (default 2 000 000).
+//! deadline (30 s), emitting whatever repro it has at that point; every
+//! differential run gets 2 000 000 units of interpreter fuel.
 
 use crate::analyses::{run_all_with, sort_report};
 use crate::diag::{codes, Diagnostic, Severity};
 use crate::incremental::IncrementalAnalysisManager;
-use crate::validate::{validate_transform_with, EnvParseError, ValidateConfig};
+use crate::validate::{validate_transform_with, ValidateConfig};
 use posetrl_ir::interp::{InterpConfig, Interpreter, Observation, RtVal};
 use posetrl_ir::printer::print_module;
 use posetrl_ir::verifier::verify_module;
@@ -487,59 +486,16 @@ pub(crate) fn diff_entry(m: &Module) -> Option<(String, Vec<RtVal>)> {
     Some((f.name.clone(), args))
 }
 
-/// Environment knob for the differential-run interpreter fuel.
-pub const DIFF_FUEL_KEY: &str = "POSETRL_SANITIZE_DIFF_FUEL";
-/// Default differential-run interpreter fuel.
-pub const DEFAULT_DIFF_FUEL: u64 = 2_000_000;
-/// Environment knob for the delta-reduction wall-clock deadline (ms).
-pub const REDUCE_MS_KEY: &str = "POSETRL_SANITIZE_REDUCE_MS";
-/// Default delta-reduction deadline in milliseconds.
-pub const DEFAULT_REDUCE_MS: u64 = 30_000;
+/// Interpreter fuel of every differential run, so a pathological
+/// workload cannot stall the engine.
+const DIFF_FUEL: u64 = 2_000_000;
 
-/// Parses a `POSETRL_SANITIZE_DIFF_FUEL` value (`None` = unset = default).
-/// Pure over `raw` so unit tests never race on the process environment.
-pub fn parse_diff_fuel(raw: Option<&str>) -> Result<u64, EnvParseError> {
-    crate::validate::parse_env_budget(DIFF_FUEL_KEY, raw, DEFAULT_DIFF_FUEL)
-}
-
-/// Parses a `POSETRL_SANITIZE_REDUCE_MS` value (`None` = unset = default).
-pub fn parse_reduce_ms(raw: Option<&str>) -> Result<u64, EnvParseError> {
-    crate::validate::parse_env_budget(REDUCE_MS_KEY, raw, DEFAULT_REDUCE_MS)
-}
-
-/// Validates every `POSETRL_SANITIZE_*` knob currently set in the
-/// environment. CLIs call this up front so a typo exits with a usage
-/// error instead of being silently ignored mid-run.
-pub fn check_sanitize_env() -> Result<(), EnvParseError> {
-    parse_diff_fuel(std::env::var(DIFF_FUEL_KEY).ok().as_deref())?;
-    parse_reduce_ms(std::env::var(REDUCE_MS_KEY).ok().as_deref())?;
-    Ok(())
-}
-
-/// Interpreter fuel for differential runs; env-tunable so a pathological
-/// workload cannot stall the engine (`POSETRL_SANITIZE_DIFF_FUEL`).
-/// Malformed values are reported on stderr (this path cannot propagate
-/// the error) and replaced by the default.
-fn diff_fuel() -> u64 {
-    parse_diff_fuel(std::env::var(DIFF_FUEL_KEY).ok().as_deref()).unwrap_or_else(|e| {
-        eprintln!("posetrl-analyze: {e}; using the default fuel");
-        DEFAULT_DIFF_FUEL
-    })
-}
-
-/// Wall-clock deadline for one delta-reduction loop
-/// (`POSETRL_SANITIZE_REDUCE_MS`, default 30 000 ms).
-fn reduce_deadline() -> Duration {
-    let ms = parse_reduce_ms(std::env::var(REDUCE_MS_KEY).ok().as_deref()).unwrap_or_else(|e| {
-        eprintln!("posetrl-analyze: {e}; using the default deadline");
-        DEFAULT_REDUCE_MS
-    });
-    Duration::from_millis(ms)
-}
+/// Wall-clock deadline of one delta-reduction loop.
+const REDUCE_DEADLINE: Duration = Duration::from_millis(30_000);
 
 fn run_entry(m: &Module, entry: &str, args: &[RtVal]) -> Observation {
     let config = InterpConfig {
-        fuel: diff_fuel(),
+        fuel: DIFF_FUEL,
         ..InterpConfig::default()
     };
     Interpreter::with_config(m, config)
@@ -602,7 +558,7 @@ fn reduce(
 ) -> Module {
     let mut current = pre.clone();
     let mut budget = MAX_REDUCTION_ATTEMPTS;
-    let deadline = Instant::now() + reduce_deadline();
+    let deadline = Instant::now() + REDUCE_DEADLINE;
     loop {
         let mut progressed = false;
 
@@ -731,20 +687,6 @@ mod tests {
         let e = SanitizeLevel::parse("fuzz").unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("fuzz") && msg.contains("validate"), "{msg}");
-    }
-
-    #[test]
-    fn budget_parsers_default_when_unset_and_reject_malformed() {
-        assert_eq!(parse_diff_fuel(None), Ok(DEFAULT_DIFF_FUEL));
-        assert_eq!(parse_diff_fuel(Some("512")), Ok(512));
-        let e = parse_diff_fuel(Some("a lot")).unwrap_err();
-        assert_eq!(e.key, DIFF_FUEL_KEY);
-        assert_eq!(e.value, "a lot");
-
-        assert_eq!(parse_reduce_ms(None), Ok(DEFAULT_REDUCE_MS));
-        assert_eq!(parse_reduce_ms(Some(" 250 ")), Ok(250));
-        assert!(parse_reduce_ms(Some("-1")).is_err());
-        assert!(parse_reduce_ms(Some("")).is_err());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! wrapped into the variable's type — and extends them to *chains of
 //! recurrences*: an add/sub/mul/shl of a known recurrence with a
 //! loop-invariant constant is itself a recurrence with folded
-//! coefficients. Recognition is bounded by the `POSETRL_SCEV_IVS`
-//! budget.
+//! coefficients. Recognition is bounded by [`ScevConfig::max_ivs`].
 //!
 //! On top of the recurrences the controlling header exit (a `condbr` on
 //! an `icmp` between a header-phi recurrence and a loop-invariant
@@ -17,15 +16,14 @@
 //! - [`TripCount::Exact`] — the loop body runs exactly `n` times. Proved
 //!   by *simulating* the recurrence against the constant bound with the
 //!   type's wrapping semantics (so wrap-around exits are still exact,
-//!   and flagged), up to the `POSETRL_SCEV_TRIP` budget. Requires the
+//!   and flagged), up to [`ScevConfig::trip_budget`]. Requires the
 //!   header to be the only exiting block.
 //! - [`TripCount::Bounded`] — an upper bound. Produced when other exits
 //!   may leave earlier, or when the bound is symbolic but the absint
 //!   interval of the bound value (argument summaries for parameters,
 //!   value facts for loop-invariant instructions) pins a finite range.
 //! - [`TripCount::Unknown`] — everything else, *including budget
-//!   exhaustion*: a trip count above `POSETRL_SCEV_TRIP` is never
-//!   reported, it degrades to `Unknown` explicitly.
+//!   exhaustion*: a trip count above the budget is never reported, it degrades to `Unknown` explicitly.
 //!
 //! When simulation exhausts the budget an O(1) classification decides
 //! what the exhaustion means: a zero effective step or an unsolvable
@@ -50,14 +48,12 @@
 use crate::absint::{FnSummary, FuncFacts, ModuleAbsint};
 use crate::diag::{codes, Diagnostic};
 use crate::profile::FnProfile;
-use crate::validate::{parse_env_budget, EnvParseError};
 use posetrl_ir::analysis::{Cfg, DomTree, Loop, LoopForest};
 use posetrl_ir::{BinOp, BlockId, Function, InstId, IntPred, Module, Op, SourceLoc, Ty, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Budgets of the scalar-evolution engine. Env-tunable via
-/// `POSETRL_SCEV_*`.
+/// Budgets of the scalar-evolution engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScevConfig {
     /// Maximum recognized recurrences (base + derived) per loop.
@@ -76,44 +72,6 @@ impl Default for ScevConfig {
     }
 }
 
-impl ScevConfig {
-    /// Reads the budgets through `lookup` (`POSETRL_SCEV_IVS`,
-    /// `POSETRL_SCEV_TRIP`). Unset knobs fall back to the defaults;
-    /// malformed knobs are a structured error, consistent with the
-    /// `POSETRL_VALIDATE_*` scheme.
-    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
-        let d = ScevConfig::default();
-        Ok(ScevConfig {
-            max_ivs: parse_env_budget(
-                "POSETRL_SCEV_IVS",
-                lookup("POSETRL_SCEV_IVS").as_deref(),
-                d.max_ivs,
-            )?,
-            trip_budget: parse_env_budget(
-                "POSETRL_SCEV_TRIP",
-                lookup("POSETRL_SCEV_TRIP").as_deref(),
-                d.trip_budget,
-            )?,
-        })
-    }
-
-    /// [`ScevConfig::from_vars`] over the process environment.
-    pub fn try_from_env() -> Result<Self, EnvParseError> {
-        Self::from_vars(|k| std::env::var(k).ok())
-    }
-
-    /// Like [`ScevConfig::try_from_env`], but for callers that cannot
-    /// propagate the error (engine hot paths): malformed knobs are
-    /// reported on stderr and the defaults are used. CLIs should prefer
-    /// `try_from_env` and exit with a usage error.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| {
-            eprintln!("posetrl-analyze: {e}; using the default scev budgets");
-            ScevConfig::default()
-        })
-    }
-}
-
 /// A symbolic trip count: the number of times the loop body executes
 /// per entry into the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +82,7 @@ pub enum TripCount {
     /// range-refined symbolic bound).
     Bounded(u64),
     /// Nothing provable within budget — explicitly including trip
-    /// counts above `POSETRL_SCEV_TRIP`.
+    /// counts above [`ScevConfig::trip_budget`].
     Unknown,
 }
 
@@ -731,10 +689,10 @@ pub fn analyze_function(
 // Module driver
 // ---------------------------------------------------------------------------
 
-/// Runs the analysis over `m` with env-configured budgets (absint runs
+/// Runs the analysis over `m` with the default budgets (absint runs
 /// internally for the range refinement and dead-branch facts).
 pub fn analyze_module(m: &Module) -> ModuleScev {
-    analyze_module_cfg(m, &ScevConfig::from_env(), None)
+    analyze_module_cfg(m, &ScevConfig::default(), None)
 }
 
 /// [`analyze_module`], optionally memoizing per-function analyses
@@ -743,7 +701,7 @@ pub fn analyze_module_with(
     m: &Module,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleScev {
-    analyze_module_cfg(m, &ScevConfig::from_env(), mgr)
+    analyze_module_cfg(m, &ScevConfig::default(), mgr)
 }
 
 /// [`analyze_module_cfg_absint`] with a freshly computed (or
@@ -1265,18 +1223,6 @@ bb3:
         );
         let l = main_loop(&m, &ms);
         assert_eq!(l.trip, TripCount::Exact(0));
-    }
-
-    #[test]
-    fn config_rejects_malformed_env() {
-        let err =
-            ScevConfig::from_vars(|k| (k == "POSETRL_SCEV_TRIP").then(|| "banana".to_string()))
-                .unwrap_err();
-        assert_eq!(err.key, "POSETRL_SCEV_TRIP");
-        let ok =
-            ScevConfig::from_vars(|k| (k == "POSETRL_SCEV_IVS").then(|| "7".to_string())).unwrap();
-        assert_eq!(ok.max_ivs, 7);
-        assert_eq!(ok.trip_budget, ScevConfig::default().trip_budget);
     }
 
     #[test]

@@ -11,14 +11,9 @@
 //! `tests/analyze/<name>/` and a `tests/<name>_golden.rs` entry point.
 
 use crate::diag::Diagnostic;
-use crate::validate::EnvParseError;
 use crate::{absint, alias, depend, scev};
 use posetrl_ir::Module;
 use std::collections::BTreeMap;
-
-/// A module's rendered facts and its lints, or the malformed budget knob
-/// that stopped the analysis.
-pub type Report = Result<(String, Vec<Diagnostic>), EnvParseError>;
 
 /// One lint-producing analysis and everything its harnesses need.
 pub struct Analysis {
@@ -30,10 +25,6 @@ pub struct Analysis {
     pub check: fn(&Module, &mut Vec<Diagnostic>),
     /// Runs the analysis and renders its stable textual dump.
     pub dump: fn(&Module) -> String,
-    /// [`Self::dump`] and [`Self::check`] from one analysis run, except
-    /// that a malformed `POSETRL_*` budget knob is an error (the CLI's
-    /// usage error) instead of a fallback to the default.
-    pub lint_and_dump: fn(&Module) -> Report,
     /// Passes whose rewrites trust this analysis's facts. The nightly
     /// sweep covers exactly the analyses with at least one.
     pub consumers: &'static [&'static str],
@@ -65,12 +56,6 @@ pub const ANALYSES: [Analysis; 4] = [
         name: "absint",
         check: absint::check,
         dump: |m| absint::render(m, &absint::analyze_module(m)),
-        lint_and_dump: |m| {
-            let mi = absint::analyze_module(m);
-            let mut out = Vec::new();
-            absint::lint_with(m, &mi, &mut out);
-            Ok((absint::render(m, &mi), out))
-        },
         consumers: &["rangeopt"],
         canonicalize: &[],
         sweep_prefixes: SCALAR_PREFIXES,
@@ -80,12 +65,6 @@ pub const ANALYSES: [Analysis; 4] = [
         name: "alias",
         check: alias::check,
         dump: |m| alias::render(m, &alias::analyze_module(m)),
-        lint_and_dump: |m| {
-            let ma = alias::analyze_module_cfg(m, &alias::AliasConfig::try_from_env()?, None);
-            let mut out = Vec::new();
-            alias::lint_with(m, &ma, &mut out);
-            Ok((alias::render(m, &ma), out))
-        },
         consumers: &["dse", "gvn", "early-cse-memssa", "licm"],
         canonicalize: &[],
         sweep_prefixes: SCALAR_PREFIXES,
@@ -95,12 +74,6 @@ pub const ANALYSES: [Analysis; 4] = [
         name: "scev",
         check: scev::check,
         dump: |m| scev::render(m, &scev::analyze_module(m)),
-        lint_and_dump: |m| {
-            let ms = scev::analyze_module_cfg(m, &scev::ScevConfig::try_from_env()?, None);
-            let mut out = Vec::new();
-            scev::lint_with(m, &ms, &mut out);
-            Ok((scev::render(m, &ms), out))
-        },
         consumers: &[
             "indvars",
             "loop-unroll",
@@ -115,15 +88,6 @@ pub const ANALYSES: [Analysis; 4] = [
         name: "depend",
         check: depend::check,
         dump: |m| depend::render(m, &depend::analyze_module(m)),
-        lint_and_dump: |m| {
-            let cfg = depend::DependConfig::try_from_env()?;
-            let ms = scev::analyze_module(m);
-            let ma = alias::analyze_module(m);
-            let md = depend::analyze_module_full(m, &ms, &ma, &cfg, None);
-            let mut out = Vec::new();
-            depend::lint_with(m, &ms, &ma, &mut out);
-            Ok((depend::render(m, &md), out))
-        },
         // no pass trusts dependence verdicts: depend feeds lints, the
         // census and static feature dims 48-55 only
         consumers: &[],

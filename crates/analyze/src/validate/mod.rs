@@ -42,9 +42,10 @@ pub use refine::{
     Verdict,
 };
 
-/// Budgets for one validation problem. All knobs are env-tunable via
-/// `POSETRL_VALIDATE_*`; the defaults are sized for the generated
-/// workload corpus (concrete trip counts ≤ 24, arrays ≤ 64 cells).
+/// Budgets for one validation problem. All but `max_call_depth` and
+/// `max_mem_cells` are env-tunable via `POSETRL_VALIDATE_*`; the defaults
+/// are sized for the generated workload corpus (concrete trip counts
+/// ≤ 24, arrays ≤ 64 cells).
 #[derive(Debug, Clone)]
 pub struct ValidateConfig {
     /// Maximum number of path forks across one function execution.
@@ -140,9 +141,9 @@ pub fn env_budget_or_usage<T: std::str::FromStr>(key: &'static str, dflt: T) -> 
 
 impl ValidateConfig {
     /// Reads the budgets through `lookup` (`POSETRL_VALIDATE_PATHS`,
-    /// `_UNROLL`, `_STEPS`, `_DEPTH`, `_CELLS`, `_PAIRS`, `_CLAUSES`,
-    /// `_CONFLICTS`). Unset knobs fall back to the defaults; malformed
-    /// knobs are a structured error.
+    /// `_UNROLL`, `_STEPS`, `_PAIRS`, `_CLAUSES`, `_CONFLICTS`). Unset
+    /// knobs fall back to the defaults; malformed knobs are a structured
+    /// error.
     pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
         let d = ValidateConfig::default();
         macro_rules! get {
@@ -154,11 +155,10 @@ impl ValidateConfig {
             max_paths: get!("POSETRL_VALIDATE_PATHS", d.max_paths),
             max_block_visits: get!("POSETRL_VALIDATE_UNROLL", d.max_block_visits),
             max_steps: get!("POSETRL_VALIDATE_STEPS", d.max_steps),
-            max_call_depth: get!("POSETRL_VALIDATE_DEPTH", d.max_call_depth),
-            max_mem_cells: get!("POSETRL_VALIDATE_CELLS", d.max_mem_cells),
             max_path_pairs: get!("POSETRL_VALIDATE_PAIRS", d.max_path_pairs),
             max_clauses: get!("POSETRL_VALIDATE_CLAUSES", d.max_clauses),
             max_conflicts: get!("POSETRL_VALIDATE_CONFLICTS", d.max_conflicts),
+            ..d
         })
     }
 
@@ -220,7 +220,7 @@ mod env_tests {
     #[test]
     fn negative_and_empty_budgets_are_rejected() {
         assert!(ValidateConfig::from_vars(|k| {
-            (k == "POSETRL_VALIDATE_CELLS").then(|| "-3".to_string())
+            (k == "POSETRL_VALIDATE_CLAUSES").then(|| "-3".to_string())
         })
         .is_err());
         assert!(ValidateConfig::from_vars(|k| {

@@ -178,13 +178,11 @@ pub fn validate_transform_with(
     cfg: &ValidateConfig,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleValidation {
-    let trace = std::env::var("POSETRL_VALIDATE_TRACE").is_ok();
     let globals_identical = globals_identical(src, tgt);
     let global_issue = global_issue(src, tgt);
     let cfg_digest = mgr.map(|_| posetrl_ir::digest_str(&format!("{cfg:?}")));
     let mut out = ModuleValidation::default();
     for tid in tgt.func_ids() {
-        let started = std::time::Instant::now();
         let tf = tgt.func(tid).expect("function exists");
         let name = tf.name.clone();
         let memo_key = match (mgr, src.func_by_name(&name)) {
@@ -197,18 +195,6 @@ pub fn validate_transform_with(
         };
         if let (Some(mgr), Some(key)) = (mgr, &memo_key) {
             if let Some(verdict) = mgr.validate.get(key) {
-                if trace {
-                    eprintln!(
-                        "[validate] @{name} [{}] {} (memo) in {:?}",
-                        tgt.name,
-                        match &verdict {
-                            Verdict::Proved => "proved".to_string(),
-                            Verdict::Refuted(_) => "refuted".to_string(),
-                            Verdict::Inconclusive(why) => format!("inconclusive: {why}"),
-                        },
-                        started.elapsed()
-                    );
-                }
                 out.funcs.push(FuncVerdict { name, verdict });
                 continue;
             }
@@ -275,18 +261,6 @@ pub fn validate_transform_with(
             }
             v => v,
         };
-        if trace {
-            eprintln!(
-                "[validate] @{name} [{}] {} in {:?}",
-                tgt.name,
-                match &verdict {
-                    Verdict::Proved => "proved".to_string(),
-                    Verdict::Refuted(_) => "refuted".to_string(),
-                    Verdict::Inconclusive(why) => format!("inconclusive: {why}"),
-                },
-                started.elapsed()
-            );
-        }
         out.funcs.push(FuncVerdict { name, verdict });
     }
     out

@@ -1,6 +1,7 @@
 //! `mini-analyze` analysis modes: each `--<name>` flag of the analysis
-//! table lints the example modules cleanly, and combining two mode flags
-//! is a usage error rather than a silent precedence rule.
+//! table lints the example modules cleanly, combining two mode flags is
+//! a usage error rather than a silent precedence rule, and a malformed
+//! budget knob is a usage error rather than a silent default.
 
 use posetrl_analyze::exit_codes;
 use posetrl_analyze::suite::ANALYSES;
@@ -64,7 +65,8 @@ fn two_mode_flags_are_a_usage_error() {
 
 #[test]
 fn a_malformed_budget_knob_is_a_usage_error() {
-    let mut cmd = mini_analyze(&["--alias".into()], &example_modules());
-    cmd.env("POSETRL_ALIAS_ITERS", "banana");
+    let file = example_modules().swap_remove(0);
+    let mut cmd = mini_analyze(&["--validate".into()], &[file.clone(), file]);
+    cmd.env("POSETRL_VALIDATE_STEPS", "banana");
     assert_eq!(exit_code(cmd), exit_codes::USAGE);
 }

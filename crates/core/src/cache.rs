@@ -92,6 +92,18 @@ impl Key {
     }
 }
 
+/// Content signature of a pass list: the step-memo key component
+/// identifying *what* a step applies, independent of the action set (or
+/// baseline pipeline) it came from.
+pub(crate) fn sequence_signature(passes: &[impl AsRef<str>]) -> u64 {
+    let mut joined = String::new();
+    for p in passes {
+        joined.push_str(p.as_ref());
+        joined.push('\x1f');
+    }
+    posetrl_embed::fnv1a(&joined)
+}
+
 /// A memoized environment step: the module after applying one action.
 #[derive(Debug)]
 pub struct StepMemo {

@@ -34,11 +34,11 @@
 use crate::actions::ActionSet;
 use crate::cache::{CacheStats, EvalCache};
 use crate::env::PhaseEnv;
-use crate::trainer::{TrainedModel, TrainerConfig};
+use crate::eval::{resolved_workers, run_oz};
+use crate::trainer::{tail_mean_reward, TrainedModel, TrainerConfig};
 use parking_lot::Mutex;
 use posetrl_analyze::{IncrementalAnalysisManager, SanitizeLevel, Sanitizer, SanitizerStats};
 use posetrl_opt::manager::PassManager;
-use posetrl_opt::pipelines;
 use posetrl_rl::dqn::{DqnAgent, DqnConfig, Policy};
 use posetrl_rl::replay::Transition;
 use posetrl_target::size::object_size;
@@ -66,18 +66,13 @@ pub struct EngineConfig {
     /// worker: embeddings, lint bundles, absint summaries and validate
     /// obligations memoize by function content, so a step that touches one
     /// function re-analyzes only that function. Results are bit-identical
-    /// either way. Defaults from `POSETRL_INCREMENTAL` (on unless set to
-    /// `0`/`false`/`off`).
+    /// either way. On by default.
     pub incremental: bool,
     /// Run a greedy validation sweep every N rounds (0 = never).
     pub validate_every: usize,
     /// Seed for the per-episode rollout RNGs (independent of the agent's
     /// weight-init/replay seed so ablations can vary them separately).
     pub seed: u64,
-}
-
-fn default_incremental() -> bool {
-    IncrementalAnalysisManager::enabled_from_env()
 }
 
 impl Default for EngineConfig {
@@ -88,7 +83,7 @@ impl Default for EngineConfig {
             episodes_per_round: 8,
             cache: true,
             cache_capacity: EvalCache::DEFAULT_CAPACITY,
-            incremental: default_incremental(),
+            incremental: true,
             validate_every: 0,
             seed: 0x0D15_EA5E,
         }
@@ -102,16 +97,6 @@ impl EngineConfig {
             trainer: TrainerConfig::quick(),
             episodes_per_round: 4,
             ..EngineConfig::default()
-        }
-    }
-
-    fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
         }
     }
 }
@@ -379,7 +364,7 @@ pub fn train_parallel(
     });
     let sanitizer = (tcfg.env.sanitize != SanitizeLevel::Off)
         .then(|| Arc::new(Sanitizer::new(tcfg.env.sanitize)));
-    let workers = config.resolved_workers();
+    let workers = resolved_workers(config.workers);
 
     let mut agent_cfg = tcfg.agent.clone();
     agent_cfg.state_dim = PhaseEnv::new(tcfg.env.clone(), actions.clone()).state_dim();
@@ -393,15 +378,7 @@ pub fn train_parallel(
             .iter()
             .map(|b| {
                 let mut m = b.module.clone();
-                match &sanitizer {
-                    Some(san) => {
-                        pm.run_pipeline_sanitized(&mut m, &pipelines::oz(), san)
-                            .expect("Oz pipeline sanitizes clean");
-                    }
-                    None => {
-                        pm.run_pipeline(&mut m, &pipelines::oz()).expect("Oz runs");
-                    }
-                }
+                run_oz(&pm, &mut m, sanitizer.as_ref());
                 object_size(&m, tcfg.env.arch).total
             })
             .collect()
@@ -529,12 +506,7 @@ pub fn train_parallel(
         round += 1;
     }
 
-    let tail: Vec<f64> = episode_rewards.iter().rev().take(50).copied().collect();
-    let final_mean_reward = if tail.is_empty() {
-        0.0
-    } else {
-        tail.iter().sum::<f64>() / tail.len() as f64
-    };
+    let final_mean_reward = tail_mean_reward(&episode_rewards);
     let report = EngineReport {
         workers,
         episode_rewards: episode_rewards.clone(),

@@ -26,7 +26,7 @@
 //! over meaningfully.
 
 use crate::actions::ActionSet;
-use crate::cache::{EvalCache, MeasureMemo, StepMemo};
+use crate::cache::{sequence_signature, EvalCache, MeasureMemo, StepMemo};
 use posetrl_analyze::{IncrementalAnalysisManager, SanitizeLevel, Sanitizer};
 use posetrl_embed::{EmbedConfig, Embedder};
 use posetrl_ir::{function_fingerprint, module_hash, Module, ModuleHash, Op};
@@ -128,7 +128,7 @@ pub struct PhaseEnv {
     /// function-content keys, so a step that touches one function
     /// re-analyzes only that function (plus the callers whose view of it
     /// changed). Adopted from the attached cache when it carries one,
-    /// otherwise built fresh per env unless `POSETRL_INCREMENTAL=0`.
+    /// otherwise built fresh per env.
     /// Bit-identical to from-scratch analysis by construction.
     incr: Option<Arc<IncrementalAnalysisManager>>,
     /// Digest of the embedder configuration: the second component of
@@ -150,22 +150,15 @@ impl PhaseEnv {
         let action_sigs = actions
             .sequences
             .iter()
-            .map(|passes| {
-                let mut joined = String::new();
-                for p in passes {
-                    joined.push_str(p);
-                    joined.push('\x1f');
-                }
-                posetrl_embed::fnv1a(&joined)
-            })
+            .map(|passes| sequence_signature(passes))
             .collect();
         let sanitizer = (config.sanitize != SanitizeLevel::Off)
             .then(|| Arc::new(Sanitizer::new(config.sanitize)));
         let embedder = Embedder::new(EmbedConfig::default());
         let embed_cfg_digest = posetrl_ir::digest_str(&format!("{:?}", embedder.config()));
-        let incr = IncrementalAnalysisManager::from_env();
-        if let (Some(san), Some(mgr)) = (&sanitizer, &incr) {
-            san.set_incremental(Some(Arc::clone(mgr)));
+        let incr = Arc::new(IncrementalAnalysisManager::new());
+        if let Some(san) = &sanitizer {
+            san.set_incremental(Some(Arc::clone(&incr)));
         }
         PhaseEnv {
             config,
@@ -176,7 +169,7 @@ impl PhaseEnv {
             module: None,
             cache: None,
             sanitizer,
-            incr,
+            incr: Some(incr),
             embed_cfg_digest,
             cur_hash: None,
             base_size: 0.0,
@@ -209,8 +202,8 @@ impl PhaseEnv {
     }
 
     /// Attaches (or detaches, with `None`) an incremental analysis
-    /// manager, rewiring the sanitizer to share it. Tests use this to pin
-    /// incremental mode on or off regardless of `POSETRL_INCREMENTAL`.
+    /// manager, rewiring the sanitizer to share it. Tests use this to
+    /// compare incremental mode on and off.
     pub fn set_incremental(&mut self, mgr: Option<Arc<IncrementalAnalysisManager>>) {
         if let Some(san) = &self.sanitizer {
             san.set_incremental(mgr.clone());
@@ -444,14 +437,14 @@ impl PhaseEnv {
                     let sc = posetrl_analyze::scev::analyze_module_cfg_absint(
                         m,
                         &mi,
-                        &posetrl_analyze::ScevConfig::from_env(),
+                        &posetrl_analyze::ScevConfig::default(),
                         Some(mgr),
                     );
                     let md = posetrl_analyze::depend::analyze_module_full(
                         m,
                         &sc,
                         &ma,
-                        &posetrl_analyze::DependConfig::from_env(),
+                        &posetrl_analyze::DependConfig::default(),
                         Some(mgr),
                     );
                     posetrl_analyze::absint::features::features_full(m, &mi, &ma, &sc, &md)

@@ -7,7 +7,7 @@
 //! - **object size** (the paper's Table IV metric, negative = regression),
 //! - **estimated runtime** from the dynamic cost model (Table V / Fig. 5).
 
-use crate::cache::{EvalCache, StepMemo};
+use crate::cache::{sequence_signature, EvalCache, StepMemo};
 use crate::trainer::TrainedModel;
 use parking_lot::Mutex;
 use posetrl_analyze::Sanitizer;
@@ -142,31 +142,21 @@ impl ParallelEval {
         self.sanitizer = Some(sanitizer);
         self
     }
-
-    fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
-        }
-    }
 }
 
-/// Cache signature of "apply the whole `-Oz` pipeline" (memoized like any
-/// other action: a pass sub-sequence applied to a hashed state).
-fn oz_sig() -> u64 {
-    let mut joined = String::new();
-    for p in pipelines::oz() {
-        joined.push_str(p);
-        joined.push('\x1f');
+/// Resolves a worker-count setting: 0 means one per available core.
+pub(crate) fn resolved_workers(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        workers
     }
-    posetrl_embed::fnv1a(&joined)
 }
 
 /// Applies the `-Oz` pipeline, sanitized when a sanitizer is attached.
-fn run_oz(pm: &PassManager, m: &mut posetrl_ir::Module, san: Option<&Arc<Sanitizer>>) {
+pub(crate) fn run_oz(pm: &PassManager, m: &mut posetrl_ir::Module, san: Option<&Arc<Sanitizer>>) {
     match san {
         Some(san) if san.enabled() => {
             pm.run_pipeline_sanitized(m, &pipelines::oz(), san)
@@ -267,8 +257,9 @@ pub fn evaluate_suite_parallel(
     measure_runtime: bool,
     opts: &ParallelEval,
 ) -> (Vec<BenchmarkResult>, SuiteStats) {
-    let workers = opts.resolved_workers();
-    let oz_signature = oz_sig();
+    let workers = resolved_workers(opts.workers);
+    // "apply the whole -Oz pipeline" is memoized like any other action
+    let oz_signature = sequence_signature(&pipelines::oz());
     let results: Vec<BenchmarkResult> = if workers <= 1 || benchmarks.len() <= 1 {
         let pm = PassManager::new();
         benchmarks

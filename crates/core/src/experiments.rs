@@ -358,8 +358,7 @@ fn weighted_improvement(model: &TrainedModel, benches: &[Benchmark]) -> f64 {
     let mut sum = 0.0f64;
     for b in benches {
         let mut oz = b.module.clone();
-        pm.run_pipeline(&mut oz, &pipelines::oz())
-            .expect("Oz pipeline runs");
+        eval::run_oz(&pm, &mut oz, None);
         let (mm, _) = model.optimize_with(b.module.clone(), None, None);
         let ozc = posetrl_target::runtime::static_cycles(
             &oz,

@@ -186,6 +186,17 @@ impl TrainedModel {
     }
 }
 
+/// Mean reward of the last 50 episodes (0 with none), summed newest
+/// first.
+pub(crate) fn tail_mean_reward(episode_rewards: &[f64]) -> f64 {
+    let tail = &episode_rewards[episode_rewards.len().saturating_sub(50)..];
+    if tail.is_empty() {
+        0.0
+    } else {
+        tail.iter().rev().sum::<f64>() / tail.len() as f64
+    }
+}
+
 /// Trains a Double-DQN agent on `programs` with the given action set.
 pub fn train(config: &TrainerConfig, actions: ActionSet, programs: &[Benchmark]) -> TrainedModel {
     let used: Vec<&Benchmark> = match config.max_programs {
@@ -238,17 +249,7 @@ pub fn train(config: &TrainerConfig, actions: ActionSet, programs: &[Benchmark])
         episode_rewards.push(ep_reward);
     }
 
-    let tail = episode_rewards
-        .iter()
-        .rev()
-        .take(50)
-        .copied()
-        .collect::<Vec<_>>();
-    let final_mean_reward = if tail.is_empty() {
-        0.0
-    } else {
-        tail.iter().sum::<f64>() / tail.len() as f64
-    };
+    let final_mean_reward = tail_mean_reward(&episode_rewards);
     TrainedModel {
         agent,
         actions,

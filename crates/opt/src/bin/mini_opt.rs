@@ -96,12 +96,8 @@ fn main() {
         std::process::exit(exit_codes::USAGE);
     }
 
-    // fail fast on malformed POSETRL_* knobs instead of silently
-    // sanitizing with the defaults
-    if let Err(e) = posetrl_analyze::check_sanitize_env() {
-        eprintln!("mini-opt: {e}");
-        std::process::exit(exit_codes::USAGE);
-    }
+    // fail fast on malformed POSETRL_VALIDATE_* knobs instead of
+    // silently sanitizing with the defaults
     if let Err(e) = posetrl_analyze::ValidateConfig::try_from_env() {
         eprintln!("mini-opt: {e}");
         std::process::exit(exit_codes::USAGE);

@@ -141,22 +141,21 @@ impl Server {
         sanitizer: Option<Arc<Sanitizer>>,
     ) -> Server {
         // Attach a shared per-function incremental analysis manager to the
-        // sharded cache (unless POSETRL_INCREMENTAL=0): every worker env
-        // that adopts the cache then memoizes embeddings, lints, absint
-        // summaries and validate obligations by function content.
-        // Results are bit-identical either way.
+        // sharded cache: every worker env that adopts the cache then
+        // memoizes embeddings, lints, absint summaries and validate
+        // obligations by function content. Results are bit-identical
+        // either way.
         Server::with_incremental(
             model,
             cfg,
             sanitizer,
-            posetrl_analyze::IncrementalAnalysisManager::from_env(),
+            Some(Arc::new(posetrl_analyze::IncrementalAnalysisManager::new())),
         )
     }
 
     /// [`Server::new`] with an explicit incremental analysis manager
-    /// (`None` pins incremental mode off regardless of
-    /// `POSETRL_INCREMENTAL`). Tests use this to compare modes without
-    /// mutating the process environment.
+    /// (`None` turns incremental mode off). Tests use this to compare
+    /// modes.
     pub fn with_incremental(
         model: Arc<TrainedModel>,
         cfg: ServeConfig,

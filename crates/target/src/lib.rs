@@ -13,9 +13,7 @@
 //! - [`mca::analyze`] — a static pipeline simulator in the style of
 //!   `llvm-mca`: per-target latency and port tables, a dispatch-width
 //!   bound, and a non-pipelined divider, producing per-block cycle
-//!   estimates summed flat (the reward signal) and loop-depth-weighted —
-//!   or, behind the `POSETRL_FREQ_CYCLES` knob ([`mca::CostConfig`]),
-//!   weighted by the SCEV-backed static profile frequencies;
+//!   estimates summed flat (the reward signal);
 //! - [`runtime::dynamic_cycles`] — interpreter profile counts weighted by
 //!   the per-target cost tables, standing in for wall-clock runs on the
 //!   paper's Xeon / Cortex-A72 machines — with [`runtime::static_cycles`]

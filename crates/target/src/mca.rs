@@ -8,96 +8,28 @@
 //! treated as ready (they come from registers), exactly as `llvm-mca` sees
 //! straight-line machine code.
 //!
-//! Two totals are reported:
-//!
-//! - [`McaReport::flat_cycles`] — every block costed once. This is the
-//!   reward signal: `llvm-mca` analyzes machine code with no loop-nest
-//!   information, and calibration showed that loop-weighting the reward
-//!   lets the agent game Eqn 3 by unrolling everything into code the
-//!   paper's setup could never see a win from.
-//! - [`McaReport::weighted_cycles`] — blocks weighted by `8^loop_depth`
-//!   (capped), a crude execution-frequency prior useful for diagnostics
-//!   and ablations, *not* used by the reward.
-//!
-//! [`CostConfig::freq_weighted`] (env knob `POSETRL_FREQ_CYCLES`) swaps
-//! the depth prior for the trip-count-aware static block frequencies of
-//! [`posetrl_analyze::profile`]. Only `weighted_cycles` changes;
-//! `flat_cycles` — and therefore the reward — is identical either way.
+//! The reward signal is [`McaReport::flat_cycles`], every block costed
+//! once: `llvm-mca` analyzes machine code with no loop-nest information,
+//! and calibration showed that loop-weighting the reward lets the agent
+//! game Eqn 3 by unrolling everything into code the paper's setup could
+//! never see a win from. The frequency-weighted static cost lives in
+//! [`crate::runtime::static_cycles`].
 
 use crate::tables::{inst_cost, machine, Resource};
 use crate::TargetArch;
-use posetrl_analyze::profile::ModuleProfile;
-use posetrl_analyze::validate::parse_env_budget;
-use posetrl_analyze::EnvParseError;
-use posetrl_ir::analysis::{Cfg, DomTree, LoopForest};
 use posetrl_ir::{InstId, Module, Value};
 use std::collections::HashMap;
-
-/// Selects the block-weighting scheme for the diagnostic
-/// `weighted_cycles` total. The flat total is never affected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CostConfig {
-    /// Weight blocks by the SCEV-backed static profile frequencies
-    /// instead of the `8^loop_depth` prior.
-    pub freq_weighted: bool,
-}
-
-impl CostConfig {
-    /// Builds a config from an env-like lookup (`POSETRL_FREQ_CYCLES`,
-    /// strict `0`/`1`). Malformed values are a structured error,
-    /// consistent with the `POSETRL_VALIDATE_*` scheme.
-    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
-        let raw: u8 = parse_env_budget(
-            "POSETRL_FREQ_CYCLES",
-            lookup("POSETRL_FREQ_CYCLES").as_deref(),
-            0,
-        )?;
-        if raw > 1 {
-            return Err(EnvParseError {
-                key: "POSETRL_FREQ_CYCLES",
-                value: raw.to_string(),
-            });
-        }
-        Ok(CostConfig {
-            freq_weighted: raw == 1,
-        })
-    }
-
-    /// [`Self::from_vars`] over the real process environment.
-    pub fn try_from_env() -> Result<Self, EnvParseError> {
-        Self::from_vars(|k| std::env::var(k).ok())
-    }
-
-    /// Lenient variant: malformed knobs fall back to defaults with a
-    /// warning on stderr. Strict CLI entry points should call
-    /// `try_from_env` and exit with a usage error.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| {
-            eprintln!("posetrl-target: {e}; using the default flat/depth costing");
-            CostConfig::default()
-        })
-    }
-}
 
 /// The result of a static throughput analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McaReport {
     /// Sum of per-block cycle estimates, every block counted once.
     pub flat_cycles: f64,
-    /// Sum of per-block cycle estimates weighted by loop depth.
-    pub weighted_cycles: f64,
     /// Micro-ops dispatched across the whole module.
     pub uops: u64,
     /// Dispatched micro-ops per cycle over the flat total (IPC-like; the
     /// "higher throughput = lesser runtime" quantity of Eqn 3).
     pub throughput: f64,
-}
-
-/// Loop-depth weight used for [`McaReport::weighted_cycles`].
-fn depth_weight(depth: u32) -> f64 {
-    // each loop level multiplies expected frequency; cap to keep deeply
-    // nested (unrolled) code from overflowing the scale
-    8f64.powi(depth.min(4) as i32)
 }
 
 /// Statically analyzes `module` for `arch`.
@@ -106,45 +38,15 @@ fn depth_weight(depth: u32) -> f64 {
 /// reports (block and instruction iteration follow arena order, never hash
 /// order), which the environment's delta-based rewards rely on.
 pub fn analyze(module: &Module, arch: TargetArch) -> McaReport {
-    analyze_cfg(module, arch, &CostConfig::default())
-}
-
-/// [`analyze`] with an explicit weighting scheme. With
-/// [`CostConfig::freq_weighted`] set, `weighted_cycles` uses the static
-/// profile's per-block frequency estimates (trip-count-aware); the flat
-/// total and throughput are bit-identical to [`analyze`] regardless.
-pub fn analyze_cfg(module: &Module, arch: TargetArch, cost: &CostConfig) -> McaReport {
-    analyze_cfg_with(module, arch, cost, None)
-}
-
-/// [`analyze_cfg`], optionally routing the static-profile computation
-/// through an incremental manager: under `POSETRL_FREQ_CYCLES` the
-/// per-function scev/profile analyses become memo hits across repeated
-/// estimates of unchanged functions instead of whole-module recomputes.
-/// Bit-identical to [`analyze_cfg`] for any manager state.
-pub fn analyze_cfg_with(
-    module: &Module,
-    arch: TargetArch,
-    cost: &CostConfig,
-    mgr: Option<&posetrl_analyze::IncrementalAnalysisManager>,
-) -> McaReport {
     let desc = machine(arch);
     let mut flat = 0.0f64;
-    let mut weighted = 0.0f64;
     let mut uops = 0u64;
-    let prof: Option<ModuleProfile> = cost
-        .freq_weighted
-        .then(|| posetrl_analyze::profile::analyze_module_with(module, mgr));
 
     for fid in module.func_ids() {
         let f = module.func(fid).expect("live function");
         if f.is_decl {
             continue;
         }
-        let cfg = Cfg::compute(f);
-        let dt = DomTree::compute(f, &cfg);
-        let loops = LoopForest::compute(f, &cfg, &dt);
-
         for bid in f.block_ids() {
             let block = f.block(bid).expect("live block");
             if block.insts.is_empty() {
@@ -152,11 +54,6 @@ pub fn analyze_cfg_with(
             }
             let (cycles, block_uops) = simulate_block(f, &block.insts, arch, &desc);
             flat += cycles;
-            weighted += cycles
-                * match &prof {
-                    Some(p) => p.freq(fid, bid),
-                    None => depth_weight(loops.depth_of(bid)),
-                };
             uops += block_uops;
         }
     }
@@ -169,7 +66,6 @@ pub fn analyze_cfg_with(
     };
     McaReport {
         flat_cycles: flat,
-        weighted_cycles: weighted,
         uops,
         throughput,
     }
@@ -252,7 +148,7 @@ fn simulate_block(
 mod tests {
     use super::*;
     use posetrl_ir::builder::ModuleBuilder;
-    use posetrl_ir::{BinOp, IntPred, Ty, Value};
+    use posetrl_ir::{BinOp, Ty, Value};
 
     fn straightline(n_adds: usize, with_div: bool) -> Module {
         let mut mb = ModuleBuilder::new("mca");
@@ -277,7 +173,6 @@ mod tests {
             let r = analyze(&straightline(10, true), arch);
             assert!(r.flat_cycles.is_finite() && r.flat_cycles > 0.0);
             assert!(r.throughput.is_finite() && r.throughput > 0.0);
-            assert!(r.weighted_cycles >= r.flat_cycles);
         }
     }
 
@@ -319,84 +214,6 @@ mod tests {
                 a.flat_cycles,
                 x.flat_cycles
             );
-        }
-    }
-
-    #[test]
-    fn loops_weight_only_the_weighted_total() {
-        let mut mb = ModuleBuilder::new("loop");
-        let f = mb.begin_function("main", vec![], Ty::I64);
-        {
-            let mut fb = mb.func_builder(f);
-            let header = fb.new_block();
-            let body = fb.new_block();
-            let exit = fb.new_block();
-            fb.br(header);
-            fb.switch_to(header);
-            let i = fb.phi(Ty::I64, vec![]);
-            let c = fb.icmp(IntPred::Slt, Ty::I64, i, Value::i64(10));
-            fb.cond_br(c, body, exit);
-            fb.switch_to(body);
-            let i2 = fb.add(Ty::I64, i, Value::i64(1));
-            fb.br(header);
-            fb.switch_to(exit);
-            fb.ret(Some(i2));
-        }
-        let m = mb.finish();
-        for arch in TargetArch::ALL {
-            let r = analyze(&m, arch);
-            assert!(
-                r.weighted_cycles > r.flat_cycles,
-                "loop blocks are up-weighted: {} vs {}",
-                r.weighted_cycles,
-                r.flat_cycles
-            );
-        }
-    }
-
-    #[test]
-    fn freq_weighting_changes_only_the_diagnostic_total() {
-        let m = straightline(20, true);
-        for arch in TargetArch::ALL {
-            let depth = analyze(&m, arch);
-            let freq = analyze_cfg(
-                &m,
-                arch,
-                &CostConfig {
-                    freq_weighted: true,
-                },
-            );
-            assert_eq!(depth.flat_cycles, freq.flat_cycles, "reward unchanged");
-            assert_eq!(depth.uops, freq.uops);
-            assert_eq!(depth.throughput, freq.throughput);
-            // straight-line code: every block runs once under the profile
-            assert_eq!(freq.weighted_cycles, freq.flat_cycles);
-            // repeated analysis stays bit-identical
-            assert_eq!(
-                freq,
-                analyze_cfg(
-                    &m,
-                    arch,
-                    &CostConfig {
-                        freq_weighted: true
-                    }
-                )
-            );
-        }
-    }
-
-    #[test]
-    fn cost_config_env_knob_is_strict() {
-        assert_eq!(
-            CostConfig::from_vars(|_| None).unwrap(),
-            CostConfig::default()
-        );
-        let on = CostConfig::from_vars(|k| (k == "POSETRL_FREQ_CYCLES").then(|| "1".into()));
-        assert!(on.unwrap().freq_weighted);
-        for bad in ["2", "yes", ""] {
-            let e =
-                CostConfig::from_vars(|k| (k == "POSETRL_FREQ_CYCLES").then(|| bad.to_string()));
-            assert!(e.is_err(), "{bad:?} must be rejected");
         }
     }
 

@@ -10,9 +10,14 @@
 //!
 //! A code declared but never emitted, emitted but unregistered, or
 //! registered but undocumented is a drift bug this test pins.
+//!
+//! The same drift check covers the `POSETRL_*` environment variables:
+//! the names the library sources read must equal the README's
+//! "Environment variables" list, and every name CI sets must be read by
+//! some source or test harness.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn repo_file(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -62,20 +67,11 @@ fn every_declared_code_is_emitted_somewhere() {
     // each `codes::IDENT` must appear at least once outside diag.rs —
     // a declaration nothing emits is dead registry weight
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/analyze/src");
-    let mut sources = Vec::new();
-    let mut stack = vec![root.clone()];
-    while let Some(dir) = stack.pop() {
-        for e in std::fs::read_dir(&dir).unwrap() {
-            let p = e.unwrap().path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "rs")
-                && p.file_name().is_some_and(|n| n != "diag.rs")
-            {
-                sources.push(std::fs::read_to_string(&p).unwrap());
-            }
-        }
-    }
+    let sources: Vec<String> = rust_sources(&root)
+        .into_iter()
+        .filter(|p| p.file_name().is_some_and(|n| n != "diag.rs"))
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect();
     assert!(sources.len() >= 10, "analyze source tree looks truncated");
     let all = sources.concat();
     for (ident, code) in declared_codes() {
@@ -131,4 +127,116 @@ fn list_lints_json_round_trips_the_registry() {
             l.code
         );
     }
+}
+
+/// The `.rs` files under `dir`, recursively.
+fn rust_sources(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for e in std::fs::read_dir(&dir).unwrap() {
+            let p = e.unwrap().path();
+            if p.is_dir() {
+                stack.push(p);
+            } else if p.extension().is_some_and(|x| x == "rs") {
+                out.push(p);
+            }
+        }
+    }
+    out
+}
+
+/// The library sources: `crates/*/src`, minus the standalone benchmark
+/// harness (its own package, not part of the library).
+fn crate_sources() -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let benchmark = root.join("crates/bench/src/bin/benchmark");
+    let mut out = Vec::new();
+    for e in std::fs::read_dir(root.join("crates")).unwrap() {
+        let src = e.unwrap().path().join("src");
+        if src.is_dir() {
+            out.extend(rust_sources(&src));
+        }
+    }
+    out.retain(|p| !p.starts_with(&benchmark));
+    assert!(out.len() >= 50, "crate source tree looks truncated");
+    out
+}
+
+/// Every `POSETRL_*` name in `text`, with the character just before and
+/// just after it (`"` around a string literal, `*` after a family glob).
+fn env_names(text: &str) -> Vec<(Option<char>, String, Option<char>)> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices("POSETRL_") {
+        let len = text[at..]
+            .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(text.len() - at);
+        let name = &text[at..at + len];
+        out.push((
+            text[..at].chars().next_back(),
+            name.to_string(),
+            text[at + len..].chars().next(),
+        ));
+    }
+    out
+}
+
+/// The `"POSETRL_…"` string literals in `files`.
+fn env_literals(files: &[PathBuf]) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for f in files {
+        let text = std::fs::read_to_string(f).unwrap();
+        for (before, name, after) in env_names(&text) {
+            if before == Some('"') && after == Some('"') {
+                out.insert(name);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn every_env_variable_the_crates_read_is_in_the_readme_list() {
+    let readme = repo_file("README.md");
+    let section = readme
+        .split_once("\n## Environment variables\n")
+        .expect("README has an \"Environment variables\" section")
+        .1;
+    let section = section.split("\n## ").next().unwrap();
+    let documented: BTreeSet<String> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split_once('`'))
+        .map(|(name, _)| name.to_string())
+        .collect();
+    assert!(
+        !documented.is_empty(),
+        "the README environment table lists no variables"
+    );
+    let read = env_literals(&crate_sources());
+    assert_eq!(
+        read, documented,
+        "the POSETRL_* names read in crates/*/src must equal the README \"Environment variables\" list"
+    );
+}
+
+#[test]
+fn every_env_variable_ci_sets_is_read_somewhere() {
+    let ci = repo_file(".github/workflows/ci.yml");
+    let set: BTreeSet<String> = env_names(&ci)
+        .into_iter()
+        .filter(|(_, _, after)| *after != Some('*'))
+        .map(|(_, name, _)| name)
+        .collect();
+    assert!(!set.is_empty(), "ci.yml sets no POSETRL_* variable");
+    let mut files = crate_sources();
+    files.extend(rust_sources(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("tests"),
+    ));
+    let read = env_literals(&files);
+    let unread: Vec<&String> = set.difference(&read).collect();
+    assert!(
+        unread.is_empty(),
+        "ci.yml sets {unread:?}, which no source under crates/*/src or tests/ reads"
+    );
 }
