@@ -77,7 +77,7 @@
 use super::domain::{AbsVal, Nullness, PtrBase};
 use super::{analyze_module, ModuleAbsint};
 use crate::alias::ModuleAlias;
-use crate::depend::{DepKind, DependConfig, ModuleDepend};
+use crate::depend::{DepKind, ModuleDepend};
 use crate::scev::{ModuleScev, ScevConfig};
 use posetrl_ir::{Module, Op, Ty};
 
@@ -117,7 +117,7 @@ pub fn features_with(m: &Module, mi: &ModuleAbsint) -> [f64; FEATURE_DIM] {
 /// same inputs).
 pub fn features_with_alias(m: &Module, mi: &ModuleAbsint, ma: &ModuleAlias) -> [f64; FEATURE_DIM] {
     let sc = crate::scev::analyze_module_cfg_absint(m, mi, &ScevConfig::default(), None);
-    let md = crate::depend::analyze_module_full(m, &sc, ma, &DependConfig::default(), None);
+    let md = crate::depend::analyze_module_full(m, &sc, ma, None);
     features_full(m, mi, ma, &sc, &md)
 }
 
@@ -612,7 +612,7 @@ bb2:
             &crate::scev::ScevConfig::default(),
             None,
         );
-        let md = crate::depend::analyze_module_full(&m, &sc, &ma, &DependConfig::default(), None);
+        let md = crate::depend::analyze_module_full(&m, &sc, &ma, None);
         assert_eq!(
             f,
             features_full(&m, &mi, &ma, &sc, &md),

@@ -254,14 +254,13 @@ pub fn build(
     f: &Function,
     facts: &FuncAlias,
     summaries: &BTreeMap<u32, FnAliasSummary>,
-    cfg: &super::AliasConfig,
 ) -> MemDep {
     let ctx = Ctx {
         fid,
         f,
         facts,
         summaries,
-        cap: cfg.pts_cap,
+        cap: super::PTS_CAP,
     };
     let graph = Cfg::compute(f);
 
@@ -565,7 +564,7 @@ fn find_dead_stores(ctx: &Ctx, graph: &Cfg) -> Vec<u32> {
 
 #[cfg(test)]
 mod tests {
-    use crate::alias::{analyze_module_cfg, AliasConfig};
+    use crate::alias::analyze_module;
     use posetrl_ir::parser::parse_module;
     use posetrl_ir::Op;
 
@@ -586,7 +585,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let ma = analyze_module_cfg(&m, &AliasConfig::default(), None);
+        let ma = analyze_module(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();
@@ -613,7 +612,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let ma = analyze_module_cfg(&m, &AliasConfig::default(), None);
+        let ma = analyze_module(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();
@@ -640,7 +639,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let ma = analyze_module_cfg(&m, &AliasConfig::default(), None);
+        let ma = analyze_module(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();
@@ -668,7 +667,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let ma = analyze_module_cfg(&m, &AliasConfig::default(), None);
+        let ma = analyze_module(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();
@@ -701,7 +700,7 @@ bb2:
 "#,
         )
         .unwrap();
-        let ma = analyze_module_cfg(&m, &AliasConfig::default(), None);
+        let ma = analyze_module(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();

@@ -16,8 +16,8 @@
 //! The abstract memory objects are allocation sites ([`MemObj::Alloca`]),
 //! globals, function addresses (so `&@f` escapes are tracked) and the
 //! symbolic argument objects. A points-to set ([`PtsSet`]) is a bounded
-//! object set with an explicit ⊤; the [`AliasConfig`] budgets saturate
-//! oversized sets to ⊤ and cap the per-function constraint iterations.
+//! object set with an explicit ⊤; fixed budgets saturate oversized sets
+//! to ⊤ and cap the per-function constraint iterations.
 //!
 //! On top of the points-to solution, [`memdep`] builds a MemorySSA-style
 //! per-function [`MemDep`]: reaching may-def chains for
@@ -33,7 +33,7 @@
 //! `uninit-load`/`const-write`), and eight static feature dimensions in
 //! [`crate::absint::features`]. Per-function results are memoized in the
 //! [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager)
-//! keyed by content fingerprint + config digest + callee-summary
+//! keyed by content fingerprint + budget digest + callee-summary
 //! digests, exactly like the absint memo class.
 
 pub mod memdep;
@@ -43,25 +43,13 @@ use memdep::MemDep;
 use posetrl_ir::{FuncId, Function, InstId, Module, Op, SourceLoc, Ty, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// Budgets of the constraint solver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AliasConfig {
-    /// Maximum constraint-propagation sweeps per function before every
-    /// pointer fact saturates to ⊤.
-    pub max_iters: usize,
-    /// Maximum object count per points-to set; joins beyond it saturate
-    /// the set to an explicit ⊤.
-    pub pts_cap: usize,
-}
+/// Maximum constraint-propagation sweeps per function before every
+/// pointer fact saturates to ⊤.
+const MAX_ITERS: usize = 64;
 
-impl Default for AliasConfig {
-    fn default() -> Self {
-        AliasConfig {
-            max_iters: 64,
-            pts_cap: 16,
-        }
-    }
-}
+/// Maximum object count per points-to set; joins beyond it saturate the
+/// set to an explicit ⊤.
+const PTS_CAP: usize = 16;
 
 /// An abstract memory object (allocation site).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -470,7 +458,6 @@ struct Solver<'a> {
     fid: u32,
     f: &'a Function,
     summaries: &'a BTreeMap<u32, FnAliasSummary>,
-    cfg: &'a AliasConfig,
     args: Vec<PtsSet>,
     pts: Vec<PtsSet>,
     /// Contents of frame-private alloca cells (what a load from the slot
@@ -525,7 +512,7 @@ impl Solver<'_> {
         for o in &p.objs {
             if self.tracked(o) {
                 if let Some(c) = self.cells.get(o) {
-                    out.join(c, self.cfg.pts_cap);
+                    out.join(c, PTS_CAP);
                 }
             } else if !matches!(o, MemObj::Func(_)) {
                 // unknown contents of a shared cell
@@ -547,7 +534,7 @@ impl Solver<'_> {
         for o in p.objs.clone() {
             if self.tracked(&o) {
                 let cell = self.cells.entry(o).or_default();
-                if cell.join(vp, self.cfg.pts_cap) {
+                if cell.join(vp, PTS_CAP) {
                     self.changed = true;
                 }
             } else {
@@ -570,10 +557,10 @@ impl Solver<'_> {
                         .get(*arg as usize)
                         .map(|&v| self.value_pts(v))
                         .unwrap_or_else(PtsSet::top);
-                    out.join(&ap, self.cfg.pts_cap);
+                    out.join(&ap, PTS_CAP);
                 }
                 _ => {
-                    out.insert(*o, self.cfg.pts_cap);
+                    out.insert(*o, PTS_CAP);
                 }
             }
         }
@@ -581,7 +568,7 @@ impl Solver<'_> {
     }
 
     fn join_pts(&mut self, id: InstId, v: &PtsSet) {
-        let cap = self.cfg.pts_cap;
+        let cap = PTS_CAP;
         if let Some(slot) = self.pts.get_mut(id.index()) {
             if slot.join(v, cap) {
                 self.changed = true;
@@ -590,14 +577,14 @@ impl Solver<'_> {
     }
 
     fn join_mods(&mut self, v: &PtsSet) {
-        let cap = self.cfg.pts_cap;
+        let cap = PTS_CAP;
         if self.mods.join(v, cap) {
             self.changed = true;
         }
     }
 
     fn join_refs(&mut self, v: &PtsSet) {
-        let cap = self.cfg.pts_cap;
+        let cap = PTS_CAP;
         if self.refs.join(v, cap) {
             self.changed = true;
         }
@@ -735,13 +722,12 @@ impl Solver<'_> {
 }
 
 /// Analyzes one function body against fixed callee summaries. Pure in
-/// `(fid, function content, callee summaries, config)` — exactly the
+/// `(fid, function content, callee summaries)` — exactly the
 /// incremental memo key.
 pub fn analyze_function(
     fid: u32,
     f: &Function,
     summaries: &BTreeMap<u32, FnAliasSummary>,
-    cfg: &AliasConfig,
 ) -> AliasFnResult {
     let universe = f
         .inst_ids()
@@ -753,7 +739,6 @@ pub fn analyze_function(
         fid,
         f,
         summaries,
-        cfg,
         args: symbolic_args(fid, f),
         pts: vec![PtsSet::empty(); universe],
         cells: BTreeMap::new(),
@@ -770,7 +755,7 @@ pub fn analyze_function(
         if !s.changed {
             break;
         }
-        if iters >= cfg.max_iters.max(1) {
+        if iters >= MAX_ITERS {
             s.saturate();
             break;
         }
@@ -781,7 +766,7 @@ pub fn analyze_function(
     for id in f.inst_ids() {
         if let Op::Ret { val: Some(v) } = f.op(id) {
             let p = s.value_pts(*v);
-            ret.join(&p, cfg.pts_cap);
+            ret.join(&p, PTS_CAP);
         }
     }
 
@@ -812,7 +797,7 @@ pub fn analyze_function(
         pts: s.pts,
         escaped: s.escaped,
     };
-    let md = memdep::build(fid, f, &facts, summaries, cfg);
+    let md = memdep::build(fid, f, &facts, summaries);
     AliasFnResult {
         facts,
         summary,
@@ -830,27 +815,19 @@ const SCC_ITER_LIMIT: usize = 24;
 
 /// Runs the interprocedural analysis over `m` with the default budgets.
 pub fn analyze_module(m: &Module) -> ModuleAlias {
-    analyze_module_cfg(m, &AliasConfig::default(), None)
+    analyze_module_with(m, None)
 }
 
 /// [`analyze_module`], optionally memoizing per-function analyses
 /// through an [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager).
-pub fn analyze_module_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-) -> ModuleAlias {
-    analyze_module_cfg(m, &AliasConfig::default(), mgr)
-}
-
-/// The full driver: bottom-up SCC schedule identical with and without a
-/// manager; only the [`analyze_function`] leaves are content-addressed
-/// (key: function fingerprint + `fid`/config digest + callee-summary
+/// The bottom-up SCC schedule is identical with and without a manager;
+/// only the [`analyze_function`] leaves are content-addressed
+/// (key: function fingerprint + `fid`/budget digest + callee-summary
 /// digest — address-taken saturation is applied to the *exported* copy,
 /// so a changed address-taken set reaches callers through their callee
 /// digests exactly like a moved absint summary).
-pub fn analyze_module_cfg(
+pub fn analyze_module_with(
     m: &Module,
-    cfg: &AliasConfig,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleAlias {
     // call graph + address-taken set (same construction as absint)
@@ -897,7 +874,7 @@ pub fn analyze_module_cfg(
                    summaries: &BTreeMap<u32, FnAliasSummary>|
      -> std::sync::Arc<AliasFnResult> {
         let Some(mgr) = mgr else {
-            return std::sync::Arc::new(analyze_function(i, f, summaries, cfg));
+            return std::sync::Arc::new(analyze_function(i, f, summaries));
         };
         use std::fmt::Write as _;
         let mut cal = String::new();
@@ -913,11 +890,11 @@ pub fn analyze_module_cfg(
         }
         let key = (
             fps[&i],
-            posetrl_ir::digest_str(&format!("{i}|{}|{}", cfg.max_iters, cfg.pts_cap)),
+            posetrl_ir::digest_str(&format!("{i}|{MAX_ITERS}|{PTS_CAP}")),
             posetrl_ir::digest_str(&cal),
         );
         mgr.alias.get_or_compute(&f.name, key, || {
-            std::sync::Arc::new(analyze_function(i, f, summaries, cfg))
+            std::sync::Arc::new(analyze_function(i, f, summaries))
         })
     };
 
@@ -1001,7 +978,7 @@ pub fn analyze_module_cfg(
         summaries,
         funcs,
         memdeps,
-        cap: cfg.pts_cap,
+        cap: PTS_CAP,
     }
 }
 
@@ -1214,7 +1191,7 @@ mod tests {
 
     fn analyzed(text: &str) -> (Module, ModuleAlias) {
         let m = parse_module(text).expect("test module parses");
-        let ma = analyze_module_cfg(&m, &AliasConfig::default(), None);
+        let ma = analyze_module(&m);
         (m, ma)
     }
 
@@ -1487,7 +1464,7 @@ bb0:
 "#,
         );
         let a = render(&m, &ma);
-        let b = render(&m, &analyze_module_cfg(&m, &AliasConfig::default(), None));
+        let b = render(&m, &analyze_module(&m));
         assert_eq!(a, b, "renders deterministically");
         assert!(a.contains("fn @main"));
         assert!(a.contains("mod: "), "{a}");

@@ -145,9 +145,8 @@ fn lint(name: &str, m: &Module, opts: &Options) -> Vec<Diagnostic> {
     let diags = match (verify_module(m), opts.analysis) {
         (Ok(()), Some(a)) => {
             let mut out = Vec::new();
-            (a.check)(m, &mut out);
+            dump = Some((a.report)(m, &mut out));
             posetrl_analyze::analyses::sort_report(&mut out);
-            dump = Some((a.dump)(m));
             out
         }
         (Ok(()), None) => run_all(m),

@@ -42,7 +42,7 @@
 //! use-after-scope once dereferenced).
 //!
 //! Results are the seventh incremental memo class: per-function, keyed
-//! by function fingerprint + `fid`/config digest + a digest of the scev
+//! by function fingerprint + `fid`/budget digest + a digest of the scev
 //! and alias inputs the tests read (see
 //! [`crate::incremental::IncrementalAnalysisManager`]).
 
@@ -53,25 +53,12 @@ use posetrl_ir::{BlockId, FuncId, Function, InstId, Module, Op, SourceLoc, Ty, V
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Budgets of the dependence engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DependConfig {
-    /// Maximum memory accesses collected per loop; a loop over budget
-    /// keeps its access count but tests no pairs (conservative
-    /// verdicts).
-    pub max_accesses: usize,
-    /// Maximum access pairs tested per loop; same degradation.
-    pub max_pairs: usize,
-}
+/// Maximum memory accesses collected per loop; a loop over budget keeps
+/// its access count but tests no pairs (conservative verdicts).
+const MAX_ACCESSES: usize = 256;
 
-impl Default for DependConfig {
-    fn default() -> Self {
-        DependConfig {
-            max_accesses: 256,
-            max_pairs: 4096,
-        }
-    }
-}
+/// Maximum access pairs tested per loop; same degradation.
+const MAX_PAIRS: usize = 4096;
 
 /// The classical dependence kinds, by the source access's role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -401,29 +388,22 @@ struct Access {
 }
 
 /// Analyzes one function against its precomputed scev result and the
-/// module alias facts. Pure in `(f, fid, sr, ma, cfg)` — the
+/// module alias facts. Pure in `(f, fid, sr, ma)` — the
 /// incremental memo key digests the `sr`/`ma` slices it reads.
 pub fn analyze_function(
     f: &Function,
     fid: FuncId,
     sr: &ScevFnResult,
     ma: &ModuleAlias,
-    cfg: &DependConfig,
 ) -> DependFnResult {
     let mut loops = Vec::new();
     for ls in &sr.loops {
-        loops.push(analyze_loop(f, fid, ls, ma, cfg));
+        loops.push(analyze_loop(f, fid, ls, ma));
     }
     DependFnResult { loops }
 }
 
-fn analyze_loop(
-    f: &Function,
-    fid: FuncId,
-    ls: &LoopScev,
-    ma: &ModuleAlias,
-    cfg: &DependConfig,
-) -> LoopDepend {
+fn analyze_loop(f: &Function, fid: FuncId, ls: &LoopScev, ma: &ModuleAlias) -> LoopDepend {
     let mut out = LoopDepend {
         header: ls.header,
         depth: ls.depth,
@@ -458,7 +438,7 @@ fn analyze_loop(
             };
             for &(ptr, is_write) in pts {
                 total += 1;
-                if accesses.len() < cfg.max_accesses {
+                if accesses.len() < MAX_ACCESSES {
                     // memcpy/memset endpoints cover a range, not a
                     // cell: keep them opaque so every same-root or
                     // may-alias pair stays a conservative dependence.
@@ -478,11 +458,11 @@ fn analyze_loop(
         }
     }
     out.accesses = total;
-    if total as usize > cfg.max_accesses {
+    if total as usize > MAX_ACCESSES {
         out.truncated = true;
     }
     let n = accesses.len();
-    if !out.truncated && n * (n + 1) / 2 > cfg.max_pairs {
+    if !out.truncated && n * (n + 1) / 2 > MAX_PAIRS {
         out.truncated = true;
     }
 
@@ -545,40 +525,31 @@ fn analyze_loop(
 /// Runs the analysis over `m` with the default budgets (scev and
 /// alias run internally).
 pub fn analyze_module(m: &Module) -> ModuleDepend {
-    analyze_module_cfg(m, &DependConfig::default(), None)
+    analyze_module_with(m, None)
 }
 
 /// [`analyze_module`], optionally memoizing per-function analyses
-/// through an [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager).
+/// through an [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager):
+/// [`analyze_module_full`] with freshly computed (or memo-served) scev
+/// and alias inputs.
 pub fn analyze_module_with(
     m: &Module,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleDepend {
-    analyze_module_cfg(m, &DependConfig::default(), mgr)
-}
-
-/// [`analyze_module_full`] with freshly computed (or memo-served) scev
-/// and alias inputs.
-pub fn analyze_module_cfg(
-    m: &Module,
-    cfg: &DependConfig,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-) -> ModuleDepend {
     let ms = crate::scev::analyze_module_with(m, mgr);
     let ma = crate::alias::analyze_module_with(m, mgr);
-    analyze_module_full(m, &ms, &ma, cfg, mgr)
+    analyze_module_full(m, &ms, &ma, mgr)
 }
 
 /// The full driver over precomputed scev and alias results.
 /// Function-local, so no SCC schedule: each function's memo key is its
-/// fingerprint + the `fid`/config digest + a digest of the scev loop
+/// fingerprint + the `fid`/budget digest + a digest of the scev loop
 /// structure and the alias facts/summary/memdep slices the subscript
 /// tests and the fallback disambiguation read.
 pub fn analyze_module_full(
     m: &Module,
     ms: &ModuleScev,
     ma: &ModuleAlias,
-    cfg: &DependConfig,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleDepend {
     let empty = ScevFnResult::default();
@@ -590,7 +561,7 @@ pub fn analyze_module_full(
         }
         let sr = ms.func(fid).unwrap_or(&empty);
         let out: Arc<DependFnResult> = match mgr {
-            None => Arc::new(analyze_function(f, fid, sr, ma, cfg)),
+            None => Arc::new(analyze_function(f, fid, sr, ma)),
             Some(mgr) => {
                 use std::fmt::Write as _;
                 let mut inp = String::new();
@@ -613,15 +584,11 @@ pub fn analyze_module_full(
                 }
                 let key = (
                     posetrl_ir::function_fingerprint(m, f),
-                    posetrl_ir::digest_str(&format!(
-                        "{}|{}|{}",
-                        fid.0, cfg.max_accesses, cfg.max_pairs
-                    )),
+                    posetrl_ir::digest_str(&format!("{}|{}|{}", fid.0, MAX_ACCESSES, MAX_PAIRS)),
                     posetrl_ir::digest_str(&inp),
                 );
-                mgr.depend.get_or_compute(&f.name, key, || {
-                    Arc::new(analyze_function(f, fid, sr, ma, cfg))
-                })
+                mgr.depend
+                    .get_or_compute(&f.name, key, || Arc::new(analyze_function(f, fid, sr, ma)))
             }
         };
         funcs.insert(fid.0, (*out).clone());
@@ -862,7 +829,7 @@ mod tests {
 
     fn analyzed(text: &str) -> (Module, ModuleDepend) {
         let m = parse_module(text).expect("test module parses");
-        let md = analyze_module_cfg(&m, &DependConfig::default(), None);
+        let md = analyze_module(&m);
         (m, md)
     }
 
@@ -1190,10 +1157,10 @@ bb3:
     #[test]
     fn incremental_path_is_bit_identical_and_memoizes() {
         let m = parse_module(SHIFT2).unwrap();
-        let cold = analyze_module_cfg(&m, &DependConfig::default(), None);
+        let cold = analyze_module(&m);
         let mgr = crate::incremental::IncrementalAnalysisManager::new();
-        let warm1 = analyze_module_cfg(&m, &DependConfig::default(), Some(&mgr));
-        let warm2 = analyze_module_cfg(&m, &DependConfig::default(), Some(&mgr));
+        let warm1 = analyze_module_with(&m, Some(&mgr));
+        let warm2 = analyze_module_with(&m, Some(&mgr));
         assert_eq!(cold, warm1);
         assert_eq!(warm1, warm2);
         let st = mgr.stats();

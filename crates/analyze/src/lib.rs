@@ -43,12 +43,11 @@ pub mod validate;
 
 pub use absint::{analyze_module, analyze_module_with, FnSummary, FuncFacts, ModuleAbsint};
 pub use alias::{
-    memdep::MemDep, AliasConfig, AliasFnResult, FnAliasSummary, FuncAlias, MemObj, ModuleAlias,
-    PtsSet,
+    memdep::MemDep, AliasFnResult, FnAliasSummary, FuncAlias, MemObj, ModuleAlias, PtsSet,
 };
 pub use analyses::{run_all, run_all_with};
 pub use dataflow::{solve, BitSet, DataflowAnalysis, Direction, Fixpoint, JoinSemiLattice};
-pub use depend::{DepKind, DependConfig, DependFnResult, Dependence, LoopDepend, ModuleDepend};
+pub use depend::{DepKind, DependFnResult, Dependence, LoopDepend, ModuleDepend};
 pub use diag::{codes, Diagnostic, Severity};
 pub use incremental::{IncrementalAnalysisManager, IncrementalStats};
 pub use memo::{BoundedMap, ClassStats, Memo};

@@ -7,7 +7,7 @@
 //! wrapped into the variable's type — and extends them to *chains of
 //! recurrences*: an add/sub/mul/shl of a known recurrence with a
 //! loop-invariant constant is itself a recurrence with folded
-//! coefficients. Recognition is bounded by [`ScevConfig::max_ivs`].
+//! coefficients. Recognition stops at 64 recurrences per loop.
 //!
 //! On top of the recurrences the controlling header exit (a `condbr` on
 //! an `icmp` between a header-phi recurrence and a loop-invariant
@@ -53,11 +53,12 @@ use posetrl_ir::{BinOp, BlockId, Function, InstId, IntPred, Module, Op, SourceLo
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Budgets of the scalar-evolution engine.
+/// Maximum recognized recurrences (base + derived) per loop.
+const MAX_IVS: usize = 64;
+
+/// Trip-count budget of the scalar-evolution engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScevConfig {
-    /// Maximum recognized recurrences (base + derived) per loop.
-    pub max_ivs: usize,
     /// Maximum simulated iterations per trip-count query; any trip
     /// above it is reported as [`TripCount::Unknown`].
     pub trip_budget: u64,
@@ -66,7 +67,6 @@ pub struct ScevConfig {
 impl Default for ScevConfig {
     fn default() -> Self {
         ScevConfig {
-            max_ivs: 64,
             trip_budget: 1 << 20,
         }
     }
@@ -236,13 +236,13 @@ fn const_of(v: &Value) -> Option<i64> {
 
 /// Recognizes the base add-recurrences among the header phis of `l`
 /// (unique latch required — callers check). Returns `(recs, phi ids)`.
-fn base_recs(f: &Function, l: &Loop, latch: BlockId, max_ivs: usize) -> Vec<AddRec> {
+fn base_recs(f: &Function, l: &Loop, latch: BlockId) -> Vec<AddRec> {
     let mut recs = Vec::new();
     let Some(header) = f.block(l.header) else {
         return recs;
     };
     for &id in &header.insts {
-        if recs.len() >= max_ivs {
+        if recs.len() >= MAX_IVS {
             break;
         }
         let Op::Phi { ty, incomings } = f.op(id) else {
@@ -313,7 +313,7 @@ fn base_recs(f: &Function, l: &Loop, latch: BlockId, max_ivs: usize) -> Vec<AddR
 
 /// Extends `recs` with derived recurrences (chains): affine
 /// combinations of a known recurrence with a loop-invariant constant.
-fn derive_recs(f: &Function, l: &Loop, recs: &mut Vec<AddRec>, max_ivs: usize) {
+fn derive_recs(f: &Function, l: &Loop, recs: &mut Vec<AddRec>) {
     let mut blocks: Vec<u32> = l.blocks.iter().map(|b| b.0).collect();
     blocks.sort_unstable();
     // a second sweep lets chains cross the (arbitrary) block order once
@@ -323,7 +323,7 @@ fn derive_recs(f: &Function, l: &Loop, recs: &mut Vec<AddRec>, max_ivs: usize) {
                 continue;
             };
             for &id in &block.insts {
-                if recs.len() >= max_ivs {
+                if recs.len() >= MAX_IVS {
                     return;
                 }
                 if recs.iter().any(|r| r.inst == id.0) {
@@ -666,9 +666,9 @@ pub fn analyze_function(
             exit_inst: None,
         };
         if l.latches.len() == 1 {
-            let mut recs = base_recs(f, l, l.latches[0], cfg.max_ivs);
+            let mut recs = base_recs(f, l, l.latches[0]);
             let phi_count = recs.len();
-            derive_recs(f, l, &mut recs, cfg.max_ivs);
+            derive_recs(f, l, &mut recs);
             let sole_exit = exiting.len() == 1 && exiting[0] == l.header;
             trip_count(
                 f, l, facts, summary, &recs, phi_count, sole_exit, cfg, &mut ls,
@@ -757,10 +757,7 @@ pub fn analyze_module_cfg_absint(
                 }
                 let key = (
                     posetrl_ir::function_fingerprint(m, f),
-                    posetrl_ir::digest_str(&format!(
-                        "{}|{}|{}",
-                        fid.0, cfg.max_ivs, cfg.trip_budget
-                    )),
+                    posetrl_ir::digest_str(&format!("{}|{}|{}", fid.0, MAX_IVS, cfg.trip_budget)),
                     posetrl_ir::digest_str(&inp),
                 );
                 mgr.scev.get_or_compute(&f.name, key, || {
@@ -890,7 +887,7 @@ mod tests {
 
     fn analyzed(text: &str) -> (Module, ModuleScev) {
         let m = parse_module(text).expect("test module parses");
-        let ms = analyze_module_cfg(&m, &ScevConfig::default(), None);
+        let ms = analyze_module(&m);
         (m, ms)
     }
 
@@ -1190,10 +1187,7 @@ bb4:
 
     #[test]
     fn trip_above_budget_is_unknown() {
-        let cfg = ScevConfig {
-            trip_budget: 8,
-            ..ScevConfig::default()
-        };
+        let cfg = ScevConfig { trip_budget: 8 };
         let m = parse_module(COUNTED).unwrap();
         let ms = analyze_module_cfg(&m, &cfg, None);
         let l = main_loop(&m, &ms);

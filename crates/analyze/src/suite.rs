@@ -23,8 +23,9 @@ pub struct Analysis {
     pub name: &'static str,
     /// Runs the analysis and appends its lints.
     pub check: fn(&Module, &mut Vec<Diagnostic>),
-    /// Runs the analysis and renders its stable textual dump.
-    pub dump: fn(&Module) -> String,
+    /// Runs the analysis once, appends its lints and returns its stable
+    /// textual dump.
+    pub report: fn(&Module, &mut Vec<Diagnostic>) -> String,
     /// Passes whose rewrites trust this analysis's facts. The nightly
     /// sweep covers exactly the analyses with at least one.
     pub consumers: &'static [&'static str],
@@ -55,7 +56,11 @@ pub const ANALYSES: [Analysis; 4] = [
     Analysis {
         name: "absint",
         check: absint::check,
-        dump: |m| absint::render(m, &absint::analyze_module(m)),
+        report: |m, out| {
+            let mi = absint::analyze_module(m);
+            absint::lint_with(m, &mi, out);
+            absint::render(m, &mi)
+        },
         consumers: &["rangeopt"],
         canonicalize: &[],
         sweep_prefixes: SCALAR_PREFIXES,
@@ -64,7 +69,11 @@ pub const ANALYSES: [Analysis; 4] = [
     Analysis {
         name: "alias",
         check: alias::check,
-        dump: |m| alias::render(m, &alias::analyze_module(m)),
+        report: |m, out| {
+            let ma = alias::analyze_module(m);
+            alias::lint_with(m, &ma, out);
+            alias::render(m, &ma)
+        },
         consumers: &["dse", "gvn", "early-cse-memssa", "licm"],
         canonicalize: &[],
         sweep_prefixes: SCALAR_PREFIXES,
@@ -73,7 +82,11 @@ pub const ANALYSES: [Analysis; 4] = [
     Analysis {
         name: "scev",
         check: scev::check,
-        dump: |m| scev::render(m, &scev::analyze_module(m)),
+        report: |m, out| {
+            let ms = scev::analyze_module(m);
+            scev::lint_with(m, &ms, out);
+            scev::render(m, &ms)
+        },
         consumers: &[
             "indvars",
             "loop-unroll",
@@ -87,7 +100,12 @@ pub const ANALYSES: [Analysis; 4] = [
     Analysis {
         name: "depend",
         check: depend::check,
-        dump: |m| depend::render(m, &depend::analyze_module(m)),
+        report: |m, out| {
+            let ms = scev::analyze_module(m);
+            let ma = alias::analyze_module(m);
+            depend::lint_with(m, &ms, &ma, out);
+            depend::render(m, &depend::analyze_module_full(m, &ms, &ma, None))
+        },
         // no pass trusts dependence verdicts: depend feeds lints, the
         // census and static feature dims 48-55 only
         consumers: &[],

@@ -30,6 +30,12 @@ use posetrl_ir::value::{Const, Value};
 use posetrl_ir::Ty;
 use std::collections::{BTreeMap, HashMap};
 
+/// Maximum call-inlining depth.
+const MAX_CALL_DEPTH: usize = 12;
+
+/// Maximum allocation size (in cells) a *symbolic* index may touch.
+const MAX_MEM_CELLS: usize = 96;
+
 /// A scalar as a *(value term, undef condition)* pair.
 #[derive(Debug, Clone, Copy)]
 pub struct SymVal {
@@ -382,7 +388,7 @@ impl<'m, 'e, 'c> SymExec<'m, 'e, 'c> {
         g: GState,
         depth: usize,
     ) -> Result<Vec<(GState, Option<SVal>)>, Bail> {
-        if depth > self.cfg.max_call_depth {
+        if depth > MAX_CALL_DEPTH {
             return Err(Bail::new("call depth exceeds the inlining bound"));
         }
         let f = self.module.func(fid).expect("call target exists");
@@ -1097,7 +1103,7 @@ impl<'m, 'e, 'c> SymExec<'m, 'e, 'c> {
             }
             return Ok(self.undef_scalar(store, width_of(ty)));
         }
-        if obj.cells.len() > self.cfg.max_mem_cells {
+        if obj.cells.len() > MAX_MEM_CELLS {
             return Err(Bail::new("symbolic index into a large allocation"));
         }
         // ite chain over every cell
@@ -1145,7 +1151,7 @@ impl<'m, 'e, 'c> SymExec<'m, 'e, 'c> {
             }
             return Ok(());
         }
-        if len > self.cfg.max_mem_cells {
+        if len > MAX_MEM_CELLS {
             return Err(Bail::new("symbolic index into a large allocation"));
         }
         let cells = g.memory.get(&sp.base).unwrap().cells.clone();

@@ -42,10 +42,9 @@ pub use refine::{
     Verdict,
 };
 
-/// Budgets for one validation problem. All but `max_call_depth` and
-/// `max_mem_cells` are env-tunable via `POSETRL_VALIDATE_*`; the defaults
-/// are sized for the generated workload corpus (concrete trip counts
-/// ≤ 24, arrays ≤ 64 cells).
+/// Budgets for one validation problem, env-tunable via
+/// `POSETRL_VALIDATE_*`; the defaults are sized for the generated
+/// workload corpus (concrete trip counts ≤ 24, arrays ≤ 64 cells).
 #[derive(Debug, Clone)]
 pub struct ValidateConfig {
     /// Maximum number of path forks across one function execution.
@@ -54,10 +53,6 @@ pub struct ValidateConfig {
     pub max_block_visits: u32,
     /// Maximum symbolically executed instructions per function pair.
     pub max_steps: u64,
-    /// Maximum call-inlining depth.
-    pub max_call_depth: usize,
-    /// Maximum allocation size (in cells) a *symbolic* index may touch.
-    pub max_mem_cells: usize,
     /// Maximum source×target path pairs in the mismatch obligation.
     pub max_path_pairs: usize,
     /// CNF clause budget for the bit-blaster.
@@ -72,8 +67,6 @@ impl Default for ValidateConfig {
             max_paths: 64,
             max_block_visits: 640,
             max_steps: 100_000,
-            max_call_depth: 12,
-            max_mem_cells: 96,
             max_path_pairs: 512,
             max_clauses: 120_000,
             max_conflicts: 8_000,
@@ -158,7 +151,6 @@ impl ValidateConfig {
             max_path_pairs: get!("POSETRL_VALIDATE_PAIRS", d.max_path_pairs),
             max_clauses: get!("POSETRL_VALIDATE_CLAUSES", d.max_clauses),
             max_conflicts: get!("POSETRL_VALIDATE_CONFLICTS", d.max_conflicts),
-            ..d
         })
     }
 

@@ -440,13 +440,7 @@ impl PhaseEnv {
                         &posetrl_analyze::ScevConfig::default(),
                         Some(mgr),
                     );
-                    let md = posetrl_analyze::depend::analyze_module_full(
-                        m,
-                        &sc,
-                        &ma,
-                        &posetrl_analyze::DependConfig::default(),
-                        Some(mgr),
-                    );
+                    let md = posetrl_analyze::depend::analyze_module_full(m, &sc, &ma, Some(mgr));
                     posetrl_analyze::absint::features::features_full(m, &mi, &ma, &sc, &md)
                 }
                 None => posetrl_analyze::absint::features::module_features(m),

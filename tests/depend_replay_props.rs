@@ -17,7 +17,7 @@
 //! An unproved dependence (`distance: None`) constrains nothing — the
 //! analysis is allowed to be conservative, never unsound.
 
-use posetrl_analyze::depend::{self, DependConfig};
+use posetrl_analyze::depend;
 use posetrl_ir::interp::{Interpreter, RtVal};
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::Op;
@@ -96,7 +96,7 @@ proptest! {
         let out = Interpreter::new(&m).run("main", &[]);
         prop_assert_eq!(out.result.clone().unwrap(), Some(RtVal::Int(0)));
 
-        let md = depend::analyze_module_cfg(&m, &DependConfig::default(), None);
+        let md = depend::analyze_module(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let r = md.func(fid).unwrap();

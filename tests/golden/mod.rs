@@ -44,7 +44,7 @@ pub fn corpus_produces_exactly_the_expected_codes(name: &str) {
         posetrl_ir::verifier::verify_module(&m).unwrap_or_else(|e| panic!("{name} verifies: {e}"));
 
         let mut diags = Vec::new();
-        (a.check)(&m, &mut diags);
+        let dump = (a.report)(&m, &mut diags);
         let got: BTreeSet<String> = diags.iter().map(|d| d.code.to_string()).collect();
         assert_eq!(
             got, expected,
@@ -54,12 +54,15 @@ pub fn corpus_produces_exactly_the_expected_codes(name: &str) {
         positives += diags.len();
 
         // the dump mode must render every corpus module deterministically
-        let dump = (a.dump)(&m);
         assert!(
             dump.contains(&format!("module {}", m.name)),
             "{name}: dump names the module"
         );
-        assert_eq!(dump, (a.dump)(&m), "{name}: two runs render identically");
+        assert_eq!(
+            dump,
+            (a.report)(&m, &mut Vec::new()),
+            "{name}: two runs render identically"
+        );
     }
     assert!(
         positives >= 10,
@@ -97,8 +100,8 @@ pub fn dump_is_stable_on_the_training_suite(name: &str) {
     // generated workload, not just the hand-written corpus
     for b in posetrl_workloads::suites::training_suite().iter().take(8) {
         assert_eq!(
-            (a.dump)(&b.module),
-            (a.dump)(&b.module),
+            (a.report)(&b.module, &mut Vec::new()),
+            (a.report)(&b.module, &mut Vec::new()),
             "{}: nondeterministic {} dump",
             b.name,
             a.name

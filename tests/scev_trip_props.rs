@@ -9,7 +9,7 @@
 //! directions, strides 1..8 and signed inits/bounds on both sides of
 //! zero.
 
-use posetrl_analyze::scev::{self, ScevConfig, TripCount};
+use posetrl_analyze::scev::{self, TripCount};
 use posetrl_ir::interp::{InterpConfig, Interpreter, RtVal};
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::{BinOp, InstId, Op};
@@ -75,7 +75,7 @@ fn observed_iterations(m: &posetrl_ir::Module) -> u64 {
 }
 
 fn scev_trip(m: &posetrl_ir::Module) -> TripCount {
-    let ms = scev::analyze_module_cfg(m, &ScevConfig::default(), None);
+    let ms = scev::analyze_module(m);
     let fid = m.func_by_name("main").unwrap();
     let r = ms.func(fid).expect("main analyzed");
     assert_eq!(r.loops.len(), 1, "exactly one loop");
