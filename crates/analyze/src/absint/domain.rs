@@ -222,12 +222,6 @@ impl IntFacts {
             && self.bits.count_known() == 0
     }
 
-    /// `true` when the signed range is strictly inside the type range.
-    pub fn is_strict_range(&self) -> bool {
-        let (tlo, thi) = ty_signed_range(self.ty);
-        self.lo > tlo || self.hi < thi
-    }
-
     /// `true` when the value is provably non-negative.
     pub fn non_negative(&self) -> bool {
         self.lo >= 0

@@ -21,9 +21,9 @@
 //! engine terminates without a dedicated widening hook.
 //!
 //! Three consumers sit on top: the `range-trap`/`null-deref`/`dead-branch`
-//! lints ([`check`]), the `rangeopt` pass in `posetrl-opt`, and the static
-//! feature vector ([`features`]) the RL environment can append to its
-//! state.
+//! lints ([`check`]), the SCEV analysis (which bounds symbolic trip counts
+//! with these facts), and the static feature vector ([`features`]) the RL
+//! environment can append to its state. No pass reads the facts directly.
 
 pub mod domain;
 pub mod features;

@@ -140,13 +140,6 @@ pub struct DependFnResult {
     pub loops: Vec<LoopDepend>,
 }
 
-impl DependFnResult {
-    /// The facts for the loop headed by `h`, if any.
-    pub fn loop_at(&self, h: BlockId) -> Option<&LoopDepend> {
-        self.loops.iter().find(|l| l.header == h.0)
-    }
-}
-
 /// Module-level view: one [`DependFnResult`] per defined function.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModuleDepend {
@@ -158,11 +151,6 @@ impl ModuleDepend {
     /// The result of `fid`, if the function is defined.
     pub fn func(&self, fid: FuncId) -> Option<&DependFnResult> {
         self.funcs.get(&fid.0)
-    }
-
-    /// The facts for the loop headed by `h` in `fid`, if any.
-    pub fn loop_of(&self, fid: FuncId, h: BlockId) -> Option<&LoopDepend> {
-        self.func(fid).and_then(|r| r.loop_at(h))
     }
 }
 

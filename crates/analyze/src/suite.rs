@@ -61,7 +61,10 @@ pub const ANALYSES: [Analysis; 4] = [
             absint::lint_with(m, &mi, out);
             absint::render(m, &mi)
         },
-        consumers: &["rangeopt"],
+        // no pass trusts absint's facts directly: absint feeds lints,
+        // static feature dims 0-31 and scev, whose consumers the scev
+        // sweep validates
+        consumers: &[],
         canonicalize: &[],
         sweep_prefixes: SCALAR_PREFIXES,
         facts: absint_facts,

@@ -1,5 +1,5 @@
 //! Throughput of the interprocedural abstract interpreter: the full
-//! module analysis (the `rangeopt` and lint front-end) and the static
+//! module analysis (the lint and scev front-end) and the static
 //! feature extraction that rides in every RL state when
 //! `EnvConfig::static_features` is on.
 

@@ -177,13 +177,16 @@ fn main() {
         let t = experiments::table4(&ctx);
         emit("table4", &t.render(), &serde_json::to_value(&t).unwrap());
     }
-    if want("table5") {
+    // Fig. 5 is a view of Table V's per-benchmark detail
+    if want("table5") || want("fig5") {
         let t = experiments::table5(&ctx);
-        emit("table5", &t.render(), &serde_json::to_value(&t).unwrap());
-    }
-    if want("fig5") {
-        let f = experiments::fig5(&ctx);
-        emit("fig5", &f.render(), &serde_json::to_value(&f).unwrap());
+        if want("table5") {
+            emit("table5", &t.render(), &serde_json::to_value(&t).unwrap());
+        }
+        if want("fig5") {
+            let f = experiments::fig5(&t);
+            emit("fig5", &f.render(), &serde_json::to_value(&f).unwrap());
+        }
     }
     if want("table6") {
         let t = experiments::table6(&ctx);

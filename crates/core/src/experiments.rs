@@ -17,7 +17,7 @@ use posetrl_opt::pipelines;
 use posetrl_rl::dqn::DqnConfig;
 use posetrl_target::size::object_size;
 use posetrl_target::TargetArch;
-use posetrl_workloads::{mibench, spec2006, spec2017, training_suite, Benchmark};
+use posetrl_workloads::{mibench, spec2006, spec2017, training_suite, Benchmark, Suite};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -266,7 +266,7 @@ pub struct Table4Row {
 pub struct Table4 {
     /// All rows (suite × arch × space).
     pub rows: Vec<Table4Row>,
-    /// Per-benchmark detail (reused by Fig. 5).
+    /// Per-benchmark size detail for the ODG model on x86-64.
     pub details: Vec<BenchmarkResult>,
 }
 
@@ -342,7 +342,8 @@ pub struct Table5 {
     /// block-frequency profile): (suite, manual %, ODG %). Diagnostic
     /// only — the paper's numbers and the reward stay flat.
     pub weighted_rows: Vec<(String, f64, f64)>,
-    /// Per-benchmark detail for the ODG model (feeds Fig. 5a/5b).
+    /// Per-benchmark detail for the ODG model; its SPEC rows are Fig. 5
+    /// (see [`fig5`]).
     pub details: Vec<BenchmarkResult>,
 }
 
@@ -446,18 +447,19 @@ pub struct Fig5 {
     pub spec2006: Vec<BenchmarkResult>,
 }
 
-/// Reproduces Fig. 5 from the ODG x86 model.
-pub fn fig5(ctx: &ExperimentContext) -> Fig5 {
-    let arch = TargetArch::X86_64;
-    let model = ctx.model("ODG", arch);
-    let cap = ctx.scale.benchmark_cap();
-    let s17: Vec<Benchmark> = spec2017().into_iter().take(cap).collect();
-    let s06: Vec<Benchmark> = spec2006().into_iter().take(cap).collect();
-    let (r17, _) = evaluate_suite(model, &s17, arch, true);
-    let (r06, _) = evaluate_suite(model, &s06, arch, true);
+/// Reproduces Fig. 5: the SPEC rows of Table V's ODG x86 detail, which
+/// already measured runtime and size for every benchmark.
+pub fn fig5(t5: &Table5) -> Fig5 {
+    let suite = |name: &str| -> Vec<BenchmarkResult> {
+        t5.details
+            .iter()
+            .filter(|r| r.suite == name)
+            .cloned()
+            .collect()
+    };
     Fig5 {
-        spec2017: r17,
-        spec2006: r06,
+        spec2017: suite(Suite::Spec2017.name()),
+        spec2006: suite(Suite::Spec2006.name()),
     }
 }
 

@@ -86,11 +86,6 @@ impl ModuleBuilder {
         }
     }
 
-    /// Direct access to the module under construction.
-    pub fn module_mut(&mut self) -> &mut Module {
-        &mut self.module
-    }
-
     /// Finishes construction and returns the module.
     pub fn finish(self) -> Module {
         self.module

@@ -412,21 +412,6 @@ impl Op {
         }
     }
 
-    /// Returns `true` if the instruction writes memory or performs I/O
-    /// (conservatively true for calls).
-    pub fn writes_memory(&self) -> bool {
-        matches!(
-            self,
-            Op::Store { .. } | Op::MemCpy { .. } | Op::MemSet { .. } | Op::Call { .. }
-        )
-    }
-
-    /// Returns `true` if the instruction reads memory (conservatively true
-    /// for calls).
-    pub fn reads_memory(&self) -> bool {
-        matches!(self, Op::Load { .. } | Op::MemCpy { .. } | Op::Call { .. })
-    }
-
     /// Iterates over the value operands of the instruction.
     pub fn operands(&self) -> Vec<Value> {
         match self {

@@ -16,7 +16,6 @@ pub mod loop_rotate;
 pub mod loop_simplify;
 pub mod loop_unroll;
 pub mod mem2reg;
-pub mod rangeopt;
 pub mod scalar_misc;
 pub mod sccp;
 pub mod simplifycfg;
@@ -45,7 +44,6 @@ pub fn all_passes() -> Vec<Box<dyn Pass + Send + Sync>> {
         // constant propagation
         Box::new(sccp::Sccp),
         Box::new(sccp::IpSccp),
-        Box::new(rangeopt::RangeOpt),
         // loops
         Box::new(loop_simplify::LoopSimplify),
         Box::new(loop_simplify::Lcssa),

@@ -1,6 +1,6 @@
 //! Nightly validator sweeps of the lint-producing analyses, one test per
-//! row of [`posetrl_analyze::suite::ANALYSES`] with consumer passes (all
-//! but depend, whose verdicts no pass trusts; opt-in:
+//! row of [`posetrl_analyze::suite::ANALYSES`] with consumer passes (alias
+//! and scev; no pass trusts absint's or depend's facts directly; opt-in:
 //! `POSETRL_ANALYSIS_SWEEP=1`; `cargo test --test analysis_sweep alias`
 //! runs one; `POSETRL_ANALYSIS_SWEEP_STEP=n` samples every n-th module
 //! for quick local measurements, nightly runs at 1).
@@ -145,4 +145,4 @@ macro_rules! sweep_tests {
     };
 }
 
-sweep_tests!(absint, alias, scev);
+sweep_tests!(alias, scev);

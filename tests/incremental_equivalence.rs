@@ -695,7 +695,7 @@ fn incremental_sweep_archives_mismatches_and_speedup() {
 
         // incremental: prime the manager on the trajectory once (cold),
         // then time the warm pass — this is what episode N+1 on the same
-        // module costs, i.e. the parallel_eval warm path
+        // module costs, i.e. the warm path of a cached evaluation sweep
         let mgr = IncrementalAnalysisManager::new();
         for m in &trajectory {
             let _ = embed_incremental(&embedder, cfg_digest, m, &mgr);

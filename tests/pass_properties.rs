@@ -156,42 +156,6 @@ proptest! {
         }
     }
 
-    /// `rangeopt` (the absint-driven simplifier) composed with every other
-    /// registered pass, in both orders, preserves interpreter observables.
-    /// rangeopt's rewrites rest on whole-module summaries, so the risky
-    /// interactions are exactly with passes that change the call graph or
-    /// CFG underneath it — this pins all of them.
-    #[test]
-    fn rangeopt_pairs_with_every_pass_preserve_semantics(
-        seed in 0u64..5_000,
-        kind_idx in 0u8..8,
-        other_pick in 0usize..1_000,
-    ) {
-        let spec = ProgramSpec {
-            name: "prop".into(),
-            kind: kind_from(kind_idx),
-            size: SizeClass::Small,
-            seed: seed.wrapping_add(211),
-        };
-        let m0 = generate(&spec);
-        let before = observe(&m0);
-
-        let pm = PassManager::new();
-        let names = pm.pass_names();
-        let other = names[other_pick % names.len()];
-        for order in [["rangeopt", other], [other, "rangeopt"]] {
-            let mut m = m0.clone();
-            for pass in order {
-                pm.run_pass(&mut m, pass).unwrap();
-                if let Err(e) = verify_module(&m) {
-                    panic!("verifier failed in rangeopt pair {order:?} at {pass}: {e}");
-                }
-            }
-            let after = observe(&m);
-            prop_assert_eq!(&before, &after, "rangeopt pair {:?} changed behaviour", order);
-        }
-    }
-
     /// `dse` (alias-backed store elimination and store-to-load forwarding)
     /// composed with every other registered pass, in both orders, preserves
     /// interpreter observables. dse leans on interprocedural points-to
