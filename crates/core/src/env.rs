@@ -247,6 +247,12 @@ impl PhaseEnv {
         &self.applied
     }
 
+    /// Structural hash of the current module: `Some` after a reset while
+    /// a cache is attached, which is when the environment tracks it.
+    pub fn current_hash(&self) -> Option<ModuleHash> {
+        self.cur_hash
+    }
+
     /// The current module (after the actions applied so far).
     ///
     /// # Panics

@@ -17,10 +17,18 @@
 //!   backlog. Budgets (module bytes, episode steps) are deterministic
 //!   request properties, never wall-clock, so a given request stream
 //!   always produces the same accepted/rejected partition.
-//! - **Content-addressed response store.** Results are memoized by
+//! - **Two-level response store.** Results are memoized by
 //!   `(module_hash, arch, steps)` in a bounded [`Memo`] (the memo type
 //!   behind every content-addressed cache); a repeated module is a pure
 //!   store hit that touches neither the worker pool nor the network.
+//!   In front of it, a second `Memo` maps the **front-door key**
+//!   `(digest_str(raw text), text length, arch, steps)` to that
+//!   canonical key, so a byte-identical repeat is answered without
+//!   parsing, verifying or hashing the module. A front-door key is only
+//!   ever stored for text that parsed and verified, so malformed input
+//!   always takes the full path and gets the same error; the canonical
+//!   store still decides hit or miss, so a reformatted but equal module
+//!   hits through it and every response byte is what it was.
 
 use crate::config::ServeConfig;
 use crate::protocol::{parse_request, ErrorKind, OkResponse, Response};
@@ -30,7 +38,7 @@ use posetrl::{CacheStats, EvalCache, TrainedModel};
 use posetrl_analyze::{ClassStats, Memo, Sanitizer};
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::printer::print_module;
-use posetrl_ir::{module_hash, Module, ModuleHash};
+use posetrl_ir::{digest_str, module_hash, Module, ModuleHash};
 use posetrl_target::TargetArch;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,10 +50,14 @@ use std::time::Instant;
 
 type StoreKey = (ModuleHash, TargetArch, u64);
 
+/// `(digest_str(raw module text), text length, arch, steps)`.
+type FrontKey = (u128, usize, TargetArch, u64);
+
 struct Job {
     id: String,
     module: Module,
     hash: ModuleHash,
+    front: FrontKey,
     arch: TargetArch,
     steps: u64,
     shard: usize,
@@ -63,6 +75,13 @@ struct Inner {
     /// Completed responses; a hit is re-issued under the new request's
     /// id and timing.
     store: Memo<StoreKey, Arc<OkResponse>>,
+    /// Front-door keys of text that parsed and verified, mapped to its
+    /// canonical store key. It holds twice as many entries as `store`:
+    /// more than one text can reach a stored response, and a key is a
+    /// few dozen bytes against a response's kilobytes. So a key can
+    /// outlive its response, which `admit` handles.
+    front: Memo<FrontKey, StoreKey>,
+    front_door_hits: AtomicU64,
     requests: AtomicU64,
     ok: AtomicU64,
     errors: AtomicU64,
@@ -80,10 +99,15 @@ pub struct ServerStats {
     pub errors: u64,
     /// Subset of `errors` rejected by admission control.
     pub overloads: u64,
-    /// Content-addressed response-store hits.
+    /// Content-addressed response-store hits, through either level. A
+    /// request that reaches the store counts once, here or in
+    /// `store_misses`.
     pub store_hits: u64,
     /// Response-store misses (full rollouts).
     pub store_misses: u64,
+    /// Subset of `store_hits` answered through the front-door key,
+    /// without parsing, verifying or hashing the module.
+    pub front_door_hits: u64,
     /// Aggregate eval-cache counters.
     pub cache: CacheStats,
     /// Per-shard eval-cache counters, in shard order.
@@ -173,6 +197,8 @@ impl Server {
             sanitizer,
             decisions: AtomicU64::new(0),
             store: Memo::new(cfg.store_capacity),
+            front: Memo::new(cfg.store_capacity.saturating_mul(2)),
+            front_door_hits: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             ok: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -228,9 +254,10 @@ impl Server {
         self.submit(line).wait()
     }
 
-    /// Runs the request through parse → budgets → store → admission.
-    /// Returns `Some(response)` when it resolved synchronously, `None`
-    /// when a worker now owns the reply channel.
+    /// Runs the request through parse → budgets → front-door key →
+    /// module parse and verify → store → admission. Returns
+    /// `Some(response)` when it resolved synchronously, `None` when a
+    /// worker now owns the reply channel.
     fn admit(&self, line: &str, reply: &SyncSender<Response>) -> Option<Response> {
         let inner = &self.inner;
         inner.requests.fetch_add(1, Ordering::Relaxed);
@@ -255,6 +282,18 @@ impl Server {
                 ),
             ));
         }
+        let steps = req
+            .max_steps
+            .unwrap_or(inner.cfg.max_steps)
+            .clamp(1, inner.cfg.max_steps);
+        let front = (digest_str(&req.module), req.module.len(), req.arch, steps);
+        // level one: a front-door key exists only for text that parsed
+        // and verified, so a hit skips parse, verify and hash
+        let known = inner.front.get(&front);
+        if let Some(hit) = known.and_then(|key| inner.store.get(&key)) {
+            inner.front_door_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(store_hit(req.id, start, &hit));
+        }
         let module = match parse_module(&req.module) {
             Ok(m) => m,
             Err(e) => {
@@ -272,26 +311,23 @@ impl Server {
                 format!("module does not verify: {e}"),
             ));
         }
-        let steps = req
-            .max_steps
-            .unwrap_or(inner.cfg.max_steps)
-            .clamp(1, inner.cfg.max_steps);
         let hash = module_hash(&module);
         let shard = inner.cache.shard_of(hash);
-        // content-addressed store: a repeat is a pure hit
-        if let Some(hit) = inner.store.get(&(hash, req.arch, steps)) {
-            return Some(Response::Ok(OkResponse {
-                id: req.id,
-                wall_us: start.elapsed().as_micros() as u64,
-                cached: true,
-                batch: 0,
-                ..(*hit).clone()
-            }));
+        // level two, the content-addressed store: an equal module is a
+        // pure hit. A known key's response was looked up above and is
+        // gone, so the store counts each request once.
+        let key = (hash, req.arch, steps);
+        if known.is_none() {
+            if let Some(hit) = inner.store.get(&key) {
+                inner.front.insert(front, key);
+                return Some(store_hit(req.id, start, &hit));
+            }
         }
         let job = Job {
             id: req.id,
             module,
             hash,
+            front,
             arch: req.arch,
             steps,
             shard,
@@ -339,6 +375,7 @@ impl Server {
             overloads: i.overloads.load(Ordering::Relaxed),
             store_hits: store.hits,
             store_misses: store.misses,
+            front_door_hits: i.front_door_hits.load(Ordering::Relaxed),
             cache: i.cache.stats(),
             shards: i.cache.shard_stats(),
             batch: BatchStats {
@@ -356,6 +393,17 @@ impl Drop for Server {
             let _ = w.join();
         }
     }
+}
+
+/// A stored response re-issued under a new request's id and timing.
+fn store_hit(id: String, start: Instant, hit: &OkResponse) -> Response {
+    Response::Ok(OkResponse {
+        id,
+        wall_us: start.elapsed().as_micros() as u64,
+        cached: true,
+        batch: 0,
+        ..hit.clone()
+    })
 }
 
 struct RolloutOut {
@@ -383,11 +431,10 @@ fn rollout(inner: &Inner, job: &Job) -> RolloutOut {
     inner
         .decisions
         .fetch_add(actions.len() as u64, Ordering::Relaxed);
-    let after = measure(
-        Some((&inner.cache, module_hash(env.module()))),
-        env.module(),
-        job.arch,
-    );
+    let hash = env
+        .current_hash()
+        .expect("an env with a cache tracks its module's hash");
+    let after = measure(Some((&inner.cache, hash)), env.module(), job.arch);
     RolloutOut {
         module_text: print_module(env.module()),
         actions,
@@ -415,6 +462,8 @@ fn process(inner: &Arc<Inner>, job: Job) -> Response {
             };
             let key = (job.hash, job.arch, job.steps);
             inner.store.insert(key, Arc::new(resp.clone()));
+            // the job's text parsed and verified: its key may skip both
+            inner.front.insert(job.front, key);
             inner.ok.fetch_add(1, Ordering::Relaxed);
             Response::Ok(resp)
         }

@@ -1,6 +1,7 @@
 //! End-to-end server tests over a tiny trained policy: bit-identical
 //! responses for any worker count, agreement with offline inference, pure
-//! store hits on repeats, in-order stdio sessions, and every
+//! store hits on repeats through either level of the response store
+//! (front-door key or canonical hash), in-order stdio sessions, and every
 //! admission-control rejection path.
 
 use posetrl::{train, ActionSet, TrainedModel, TrainerConfig};
@@ -209,6 +210,125 @@ fn a_full_store_evicts_its_oldest_response() {
     );
     let stats = server.stats();
     assert_eq!((stats.store_hits, stats.store_misses), (0, 3));
+}
+
+/// A response's result, ids and timing aside.
+fn result(r: &posetrl_serve::protocol::OkResponse) -> (String, Vec<u64>, u64, u64, u64, u64) {
+    (
+        r.module.clone(),
+        r.actions.clone(),
+        r.size_before,
+        r.size_after,
+        r.cycles_before.to_bits(),
+        r.cycles_after.to_bits(),
+    )
+}
+
+/// `(store_hits, store_misses, front_door_hits)`.
+fn store_counts(server: &Server) -> (u64, u64, u64) {
+    let s = server.stats();
+    (s.store_hits, s.store_misses, s.front_door_hits)
+}
+
+#[test]
+fn a_byte_identical_repeat_is_a_front_door_hit() {
+    let server = Server::new(model(), cfg(2, 8), None);
+    let module = &corpus()[0];
+    let first = ok(server.handle(&request("f1", module, None)));
+    let second = ok(server.handle(&request("f2", module, None)));
+    assert!(!first.cached && second.cached);
+    assert_eq!((second.batch, second.shard), (0, first.shard));
+    assert_eq!(result(&first), result(&second));
+    assert_eq!(store_counts(&server), (1, 1, 1));
+}
+
+#[test]
+fn a_reformatted_module_hits_only_the_canonical_store() {
+    let server = Server::new(model(), cfg(2, 8), None);
+    let module = &corpus()[0];
+    let reformatted = format!("\n{module}\n\n");
+    let first = ok(server.handle(&request("t1", module, None)));
+    let equal = ok(server.handle(&request("t2", &reformatted, None)));
+    assert!(equal.cached, "an equal module must hit the canonical store");
+    assert_eq!(result(&first), result(&equal));
+    assert_eq!(store_counts(&server), (1, 1, 0));
+    // the reformatted text has now verified, so its own repeat skips parsing
+    let again = ok(server.handle(&request("t3", &reformatted, None)));
+    assert!(again.cached);
+    assert_eq!(result(&first), result(&again));
+    assert_eq!(store_counts(&server), (2, 1, 1));
+}
+
+#[test]
+fn the_same_text_at_another_arch_or_step_budget_misses() {
+    let server = Server::new(model(), cfg(2, 8), None);
+    let module = &corpus()[0];
+    assert!(!ok(server.handle(&request("x", module, None))).cached);
+    let aarch64 = Request {
+        id: "a".to_string(),
+        module: module.clone(),
+        arch: TargetArch::AArch64,
+        max_steps: None,
+    };
+    assert!(!ok(server.handle(&aarch64.to_json())).cached);
+    assert!(!ok(server.handle(&request("s", module, Some(1)))).cached);
+    assert_eq!(store_counts(&server), (0, 3, 0));
+    // a step budget above the server's is clamped to it: the same key
+    assert!(ok(server.handle(&request("c", module, Some(99)))).cached);
+    assert_eq!(store_counts(&server), (1, 3, 1));
+}
+
+#[test]
+fn a_front_door_key_whose_response_was_evicted_recomputes_it() {
+    let server = Server::new(
+        model(),
+        ServeConfig {
+            store_capacity: 1,
+            ..cfg(1, 8)
+        },
+        None,
+    );
+    let modules = corpus();
+    let (a, b) = (&modules[0], &modules[1]);
+    let first = ok(server.handle(&request("a1", a, None)));
+    assert!(!ok(server.handle(&request("b", b, None))).cached);
+    // A's front-door key outlives A's response, which B's evicted
+    let again = ok(server.handle(&request("a2", a, None)));
+    assert!(!again.cached, "an evicted response is recomputed");
+    assert_eq!(result(&first), result(&again), "bit-identically");
+    // one canonical lookup per request: the known key's miss is not
+    // looked up a second time
+    assert_eq!(store_counts(&server), (0, 3, 0));
+    let third = ok(server.handle(&request("a3", a, None)));
+    assert!(third.cached);
+    assert_eq!(result(&first), result(&third));
+    assert_eq!(store_counts(&server), (1, 3, 1));
+}
+
+#[test]
+fn a_module_that_fails_to_parse_or_verify_is_rejected_every_time() {
+    let server = Server::new(model(), cfg(1, 4), None);
+    // parses, but adds an i32 to an i64
+    let ill_typed = "module \"t\"\nfn @main() -> i64 internal {\nbb0:\n  \
+                     %v = add i64 1:i32, 2:i64\n  ret %v\n}\n";
+    for (text, why) in [("this is not ir", "parse"), (ill_typed, "verify")] {
+        for id in ["first", "second"] {
+            match server.handle(&request(id, text, None)) {
+                Response::Err(e) => {
+                    assert_eq!(e.error.kind, ErrorKind::BadModule);
+                    assert!(
+                        e.error.message.contains(&format!("does not {why}")),
+                        "{id} {why}: {}",
+                        e.error.message
+                    );
+                }
+                Response::Ok(_) => panic!("{id} {why}: a bad module must be rejected"),
+            }
+        }
+    }
+    let stats = server.stats();
+    assert_eq!((stats.errors, stats.ok), (4, 0));
+    assert_eq!(store_counts(&server), (0, 0, 0));
 }
 
 #[test]

@@ -11,7 +11,12 @@
 //! and the whole schedule must finish with **zero protocol errors** —
 //! closed-loop clients never outrun admission control at the default
 //! queue depths, so any `overloaded` (or worse) response is a server bug,
-//! not load shedding.
+//! not load shedding. A store hit must also be cheap: the repeat phase's
+//! **p50 is at most 1/20 of the cold phase's p50** from the same run, a
+//! ratio in which the runner's speed cancels. Byte-identical repeats are
+//! answered from the front-door key without parsing the module; when
+//! every hit parsed, verified and hashed its module, 64 clients queued
+//! behind that work and the repeat p50 exceeded the cold one.
 
 use posetrl_serve::server::Server;
 use posetrl_serve::{corpus, quick_model, run_load, ServeConfig, DEFAULT_PHASES};
@@ -55,5 +60,18 @@ fn serve_bench_archives_load_report() {
     assert!(
         report.phases.iter().all(|p| p.requests > 0),
         "every phase must actually issue traffic"
+    );
+    let p50 = |name: &str| {
+        report
+            .phases
+            .iter()
+            .find(|p| p.name == name)
+            .map(|p| p.p50_us)
+            .expect("the schedule has a cold and a repeat phase")
+    };
+    let (cold, repeat) = (p50("cold"), p50("repeat"));
+    assert!(
+        repeat * 20 <= cold,
+        "repeat-phase p50 must be at most 1/20 of the cold p50: {repeat}us vs {cold}us"
     );
 }
