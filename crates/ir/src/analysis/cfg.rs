@@ -74,15 +74,6 @@ impl Cfg {
     pub fn rpo_index(&self) -> HashMap<BlockId, usize> {
         self.rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect()
     }
-
-    /// Predecessors of `b` restricted to reachable blocks.
-    pub fn reachable_preds(&self, b: BlockId) -> Vec<BlockId> {
-        let reach = self.reachable();
-        self.preds
-            .get(&b)
-            .map(|ps| ps.iter().copied().filter(|p| reach.contains(p)).collect())
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]

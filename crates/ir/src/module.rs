@@ -347,6 +347,21 @@ impl Function {
         }
     }
 
+    /// Replaces every use of `Inst(id)` with `map[&id]`, in one sweep over
+    /// all instructions. When no replacement value is itself a key, this
+    /// equals one [`Function::replace_all_uses`] per entry, in any order.
+    pub fn replace_all_uses_map(&mut self, map: &HashMap<InstId, Value>) {
+        if map.is_empty() {
+            return;
+        }
+        for inst in self.insts.iter_mut().flatten() {
+            inst.op.map_operands(|v| match v {
+                Value::Inst(id) => map.get(&id).copied().unwrap_or(v),
+                other => other,
+            });
+        }
+    }
+
     /// Replaces uses of `from` with `to` within a single instruction.
     pub fn replace_uses_in(&mut self, id: InstId, from: Value, to: Value) {
         if let Some(inst) = self.inst_mut(id) {
@@ -586,6 +601,55 @@ mod tests {
             &Op::Ret {
                 val: Some(Value::i64(42))
             }
+        );
+    }
+
+    #[test]
+    fn map_rewrite_equals_sequential_replace_all_uses() {
+        let m = crate::parser::parse_module(
+            r#"
+module "m"
+fn @f(i64) -> i64 internal {
+bb0:
+  %a = add i64 %arg0, 1:i64
+  %b = mul i64 %a, %a
+  %c = icmp slt i64 %b, %a
+  condbr %c, bb1, bb2
+bb1:
+  %d = sub i64 %b, %arg0
+  br bb2
+bb2:
+  %p = phi i64 [bb0: %a], [bb1: %d]
+  %s = select i64 %c, %p, %b
+  ret %s
+}
+"#,
+        )
+        .unwrap();
+        let fid = m.func_by_name("f").unwrap();
+        let f = m.func(fid).unwrap();
+        let ids = f.inst_ids();
+        // two constants and one instruction that is not itself a key
+        let map: HashMap<InstId, Value> = [
+            (ids[0], Value::i64(5)),
+            (ids[2], Value::bool(true)),
+            (ids[4], Value::Inst(ids[1])),
+        ]
+        .into_iter()
+        .collect();
+        let mut sequential = f.clone();
+        for (&from, &to) in &map {
+            sequential.replace_all_uses(Value::Inst(from), to);
+        }
+        let mut batched = f.clone();
+        batched.replace_all_uses_map(&map);
+        for &id in &ids {
+            assert_eq!(batched.op(id), sequential.op(id), "{id:?}");
+        }
+        assert_ne!(
+            batched.op(ids[1]),
+            f.op(ids[1]),
+            "the map rewrote something"
         );
     }
 

@@ -17,11 +17,11 @@
 //! either proof of no-alias keeps a candidate alive, because each analysis
 //! is independently sound.
 
-use crate::util::{may_alias, pointer_root, PtrRoot};
+use crate::util::{escaping_allocas, may_alias, pointer_root, PtrRoot};
 use crate::Pass;
 use posetrl_analyze::ModuleAlias;
 use posetrl_ir::{FuncId, Function, InstId, Module, Op, Ty, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The `-dse` pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -101,6 +101,8 @@ fn dse_forward_stores(m: &Module, fid: FuncId, f: &mut Function, ma: &ModuleAlia
 /// same block with no possible reader in between.
 fn dse_block_local(m: &Module, fid: FuncId, f: &mut Function, ma: &ModuleAlias) -> bool {
     let mut dead: Vec<InstId> = Vec::new();
+    // computed at the first call that needs it; `f` does not change here
+    let mut escaping: Option<HashSet<InstId>> = None;
     for b in f.block_ids().collect::<Vec<_>>() {
         // pending[ptr value] = earlier store awaiting a decision
         let mut pending: HashMap<Value, InstId> = HashMap::new();
@@ -139,9 +141,10 @@ fn dse_block_local(m: &Module, fid: FuncId, f: &mut Function, ma: &ModuleAlias) 
                     // substituted mod/ref sets (points-to)
                     let mods = ma.call_mods(fid, f, id);
                     let refs = ma.call_refs(fid, f, id);
+                    let escaping = escaping.get_or_insert_with(|| escaping_allocas(f));
                     pending.retain(|p, _| {
                         if matches!(pointer_root(f, *p).0,
-                            PtrRoot::Alloca(a) if !crate::util::alloca_escapes(f, a))
+                            PtrRoot::Alloca(a) if !escaping.contains(&a))
                         {
                             return true;
                         }
@@ -194,43 +197,33 @@ fn dse_proven_dead(fid: FuncId, f: &mut Function, ma: &ModuleAlias) -> bool {
 fn dse_dead_slots(f: &mut Function) -> bool {
     // allocas that never escape and are never loaded from (directly or via
     // geps/memcpy): their stores are unobservable
-    let mut candidates: Vec<InstId> = Vec::new();
-    'next: for id in f.inst_ids() {
-        if !matches!(f.op(id), Op::Alloca { .. }) {
-            continue;
+    let escaping = escaping_allocas(f);
+    let root = |v: Value| match pointer_root(f, v).0 {
+        PtrRoot::Alloca(a) => Some(a),
+        _ => None,
+    };
+    let mut read: HashSet<InstId> = HashSet::new();
+    for id in f.inst_ids() {
+        if let Op::Load { ptr, .. } | Op::MemCpy { src: ptr, .. } = f.op(id) {
+            read.extend(root(*ptr));
         }
-        if crate::util::alloca_escapes(f, id) {
-            continue;
-        }
-        for user in f.inst_ids() {
-            match f.op(user) {
-                Op::Load { ptr, .. } if pointer_root(f, *ptr).0 == PtrRoot::Alloca(id) => {
-                    continue 'next;
-                }
-                Op::MemCpy { src, .. } if pointer_root(f, *src).0 == PtrRoot::Alloca(id) => {
-                    continue 'next;
-                }
-                _ => {}
-            }
-        }
-        candidates.push(id);
     }
-    let mut changed = false;
-    for alloca in candidates {
-        for user in f.inst_ids() {
-            let remove = match f.op(user) {
-                Op::Store { ptr, .. } => pointer_root(f, *ptr).0 == PtrRoot::Alloca(alloca),
-                Op::MemSet { dst, .. } => pointer_root(f, *dst).0 == PtrRoot::Alloca(alloca),
-                Op::MemCpy { dst, .. } => pointer_root(f, *dst).0 == PtrRoot::Alloca(alloca),
-                _ => false,
+    let dead: Vec<InstId> = f
+        .inst_ids()
+        .into_iter()
+        .filter(|&id| {
+            let dst = match f.op(id) {
+                Op::Store { ptr, .. } => *ptr,
+                Op::MemSet { dst, .. } | Op::MemCpy { dst, .. } => *dst,
+                _ => return false,
             };
-            if remove {
-                f.remove_inst(user);
-                changed = true;
-            }
-        }
+            root(dst).is_some_and(|a| !escaping.contains(&a) && !read.contains(&a))
+        })
+        .collect();
+    for &id in &dead {
+        f.remove_inst(id);
     }
-    changed
+    !dead.is_empty()
 }
 
 #[cfg(test)]

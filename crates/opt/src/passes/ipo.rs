@@ -4,7 +4,7 @@
 //! `-forceattrs`), and the faithful no-ops (`-called-value-propagation`,
 //! `-elim-avail-extern`).
 
-use crate::util::{alloca_escapes, pointer_root, PtrRoot};
+use crate::util::{escaping_allocas, pointer_root, PtrRoot};
 use crate::Pass;
 use posetrl_ir::analysis::Cfg;
 use posetrl_ir::{FuncId, GlobalId, Linkage, Module, Op, Value};
@@ -26,9 +26,11 @@ fn local_memory_behaviour(m: &Module, fid: FuncId) -> LocalMem {
     let f = m.func(fid).unwrap();
     let mut writes = false;
     let mut reads = false;
+    // swept at the first stack access; most bodies after `sroa` have none
+    let escaping = std::cell::OnceCell::new();
     let is_local = |v: Value| -> bool {
         match pointer_root(f, v).0 {
-            PtrRoot::Alloca(a) => !alloca_escapes(f, a),
+            PtrRoot::Alloca(a) => !escaping.get_or_init(|| escaping_allocas(f)).contains(&a),
             _ => false,
         }
     };

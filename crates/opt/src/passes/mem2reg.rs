@@ -50,43 +50,60 @@ impl Pass for Sroa {
 }
 
 /// Returns the promotable allocas: single element, correct load/store types,
-/// address used only directly by loads and stores.
+/// address used only directly by loads and stores. One sweep over the uses.
 fn promotable_allocas(f: &Function) -> Vec<(InstId, Ty)> {
-    let mut out = Vec::new();
-    'next: for id in f.inst_ids() {
-        let Op::Alloca { ty, count } = *f.op(id) else {
-            continue;
-        };
-        if count != 1 {
-            continue;
-        }
-        let addr = Value::Inst(id);
-        for user in f.inst_ids() {
-            let op = f.op(user);
-            let uses_addr = op.operands().contains(&addr);
-            if !uses_addr {
-                continue;
+    let ids = f.inst_ids();
+    let slots: HashMap<InstId, Ty> = ids
+        .iter()
+        .filter_map(|&id| match *f.op(id) {
+            Op::Alloca { ty, count: 1 } => Some((id, ty)),
+            _ => None,
+        })
+        .collect();
+    let mut rejected: HashSet<InstId> = HashSet::new();
+    for &user in &ids {
+        let op = f.op(user);
+        for v in op.operands() {
+            let Value::Inst(a) = v else { continue };
+            let Some(&ty) = slots.get(&a) else { continue };
+            let ok = match op {
+                Op::Load { ty: lty, ptr } => *ptr == v && *lty == ty,
+                Op::Store { ty: sty, ptr, val } => *ptr == v && *val != v && *sty == ty,
+                _ => false,
+            };
+            if !ok {
+                rejected.insert(a);
             }
-            match op {
-                Op::Load { ty: lty, ptr } if *ptr == addr && *lty == ty => {}
-                Op::Store { ty: sty, ptr, val } if *ptr == addr && *val != addr && *sty == ty => {}
-                _ => continue 'next,
-            }
         }
-        out.push((id, ty));
     }
-    out
+    ids.into_iter()
+        .filter(|id| slots.contains_key(id) && !rejected.contains(id))
+        .map(|id| (id, slots[&id]))
+        .collect()
+}
+
+/// The predecessors of `b` that are reachable from the entry.
+fn reachable_preds(cfg: &Cfg, reachable: &HashSet<BlockId>, b: BlockId) -> Vec<BlockId> {
+    cfg.preds
+        .get(&b)
+        .map(|ps| {
+            ps.iter()
+                .copied()
+                .filter(|p| reachable.contains(p))
+                .collect()
+        })
+        .unwrap_or_default()
 }
 
 /// Computes dominance frontiers (Cooper's algorithm).
 fn dominance_frontiers(
-    _f: &Function,
     cfg: &Cfg,
+    reachable: &HashSet<BlockId>,
     dt: &DomTree,
 ) -> HashMap<BlockId, HashSet<BlockId>> {
     let mut df: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
     for &b in &cfg.rpo {
-        let preds: Vec<BlockId> = cfg.reachable_preds(b);
+        let preds: Vec<BlockId> = reachable_preds(cfg, reachable, b);
         if preds.len() < 2 {
             continue;
         }
@@ -117,21 +134,29 @@ pub fn promote_allocas(f: &mut Function) -> bool {
     }
     let cfg = Cfg::compute(f);
     let dt = DomTree::compute(f, &cfg);
-    let df = dominance_frontiers(f, &cfg, &dt);
     let reachable = cfg.reachable();
+    let df = dominance_frontiers(&cfg, &reachable, &dt);
+
+    // reachable blocks storing to each alloca, in instruction order
+    let mut store_blocks: HashMap<InstId, Vec<BlockId>> = HashMap::new();
+    for id in f.inst_ids() {
+        if let Op::Store {
+            ptr: Value::Inst(a),
+            ..
+        } = f.op(id)
+        {
+            let b = f.inst(id).unwrap().block;
+            if reachable.contains(&b) {
+                store_blocks.entry(*a).or_default().push(b);
+            }
+        }
+    }
 
     // Phi placement: iterated dominance frontier of the store blocks.
     // phi_for[(block, alloca)] = phi inst id
     let mut phi_for: HashMap<(BlockId, InstId), InstId> = HashMap::new();
     for &(alloca, ty) in &allocas {
-        let addr = Value::Inst(alloca);
-        let mut work: Vec<BlockId> = f
-            .inst_ids()
-            .into_iter()
-            .filter(|&id| matches!(f.op(id), Op::Store { ptr, .. } if *ptr == addr))
-            .map(|id| f.inst(id).unwrap().block)
-            .filter(|b| reachable.contains(b))
-            .collect();
+        let mut work: Vec<BlockId> = store_blocks.remove(&alloca).unwrap_or_default();
         let mut placed: HashSet<BlockId> = HashSet::new();
         while let Some(b) = work.pop() {
             for &frontier in df
@@ -160,6 +185,10 @@ pub fn promote_allocas(f: &mut Function) -> bool {
     let mut end_vals: HashMap<BlockId, HashMap<InstId, Value>> = HashMap::new();
     let mut dead: Vec<InstId> = Vec::new();
     let alloca_set: HashMap<InstId, Ty> = allocas.iter().copied().collect();
+    let alloca_of_phi: HashMap<InstId, InstId> = phi_for
+        .iter()
+        .map(|(&(_, alloca), &phi)| (phi, alloca))
+        .collect();
 
     let resolve = |v: Value, load_repl: &HashMap<InstId, Value>| -> Value {
         let mut v = v;
@@ -186,9 +215,7 @@ pub fn promote_allocas(f: &mut Function) -> bool {
         for id in insts {
             match f.op(id).clone() {
                 Op::Phi { .. } => {
-                    if let Some((&(_, alloca), _)) =
-                        phi_for.iter().find(|(&(pb, _), &phi)| pb == b && phi == id)
-                    {
+                    if let Some(&alloca) = alloca_of_phi.get(&id) {
                         cur.insert(alloca, Value::Inst(id));
                     }
                 }
@@ -220,7 +247,7 @@ pub fn promote_allocas(f: &mut Function) -> bool {
     // Fill phi incomings from predecessor end values.
     for (&(b, alloca), &phi) in &phi_for {
         let ty = alloca_set[&alloca];
-        let preds = cfg.reachable_preds(b);
+        let preds = reachable_preds(&cfg, &reachable, b);
         let mut incomings = Vec::new();
         for p in preds {
             let v = end_vals
@@ -239,10 +266,13 @@ pub fn promote_allocas(f: &mut Function) -> bool {
     }
 
     // Apply load replacements and delete the memory operations + allocas.
-    for &load in load_repl.keys() {
-        let v = resolve(Value::Inst(load), &load_repl);
-        f.replace_all_uses(Value::Inst(load), v);
-    }
+    // Each load maps to the end of its chain, which is never a key, so one
+    // sweep equals one rewrite per load.
+    let resolved: HashMap<InstId, Value> = load_repl
+        .keys()
+        .map(|&load| (load, resolve(Value::Inst(load), &load_repl)))
+        .collect();
+    f.replace_all_uses_map(&resolved);
     for id in dead {
         f.remove_inst(id);
     }
