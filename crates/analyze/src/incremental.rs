@@ -58,7 +58,7 @@
 //! recompute — same embeddings, same findings, same summaries — for any
 //! worker count and any interleaving. Every class is the same bounded
 //! first-write-wins FIFO table ([`crate::memo`]) that also backs the
-//! `EvalCache` shards and the server's response store.
+//! `EvalCache` classes and the server's response store.
 
 use crate::absint::domain::AbsVal;
 use crate::absint::FuncFacts;

@@ -50,7 +50,7 @@ pub use dataflow::{solve, BitSet, DataflowAnalysis, Direction, Fixpoint, JoinSem
 pub use depend::{DepKind, DependFnResult, Dependence, LoopDepend, ModuleDepend};
 pub use diag::{codes, Diagnostic, Severity};
 pub use incremental::{IncrementalAnalysisManager, IncrementalStats};
-pub use memo::{BoundedMap, ClassStats, Memo};
+pub use memo::{ClassStats, Memo};
 pub use profile::{FnProfile, ModuleProfile};
 pub use sanitizer::{
     expect_verified, MiscompileReport, ParseLevelError, SanitizeLevel, Sanitizer, SanitizerStats,

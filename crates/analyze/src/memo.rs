@@ -1,10 +1,10 @@
 //! The one bounded memo behind every content-addressed cache.
 //!
 //! Three layers memoize pure functions of content: the per-function
-//! analysis classes of [`crate::IncrementalAnalysisManager`], the shards
-//! of the evaluation cache (`posetrl::EvalCache`) and the response store
-//! of `posetrl-serve`. All of them share one discipline, implemented
-//! once here:
+//! analysis classes of [`crate::IncrementalAnalysisManager`], the step,
+//! measurement and embedding classes of the evaluation cache
+//! (`posetrl::EvalCache`) and the response store of `posetrl-serve`. All
+//! of them share one discipline, implemented once here:
 //!
 //! - [`BoundedMap`] — a first-write-wins map holding at most `capacity`
 //!   entries, evicting the oldest insertion first (FIFO). A second write
@@ -185,6 +185,16 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     /// Entries evicted since creation.
     pub fn evictions(&self) -> u64 {
         self.table.lock().evictions()
+    }
+
+    /// Live entries.
+    pub fn len(&self) -> usize {
+        self.table.lock().len()
+    }
+
+    /// Whether the memo holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.table.lock().is_empty()
     }
 }
 

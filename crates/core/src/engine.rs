@@ -378,7 +378,7 @@ pub fn train_parallel(
             .iter()
             .map(|b| {
                 let mut m = b.module.clone();
-                run_oz(&pm, &mut m, sanitizer.as_ref());
+                run_oz(&pm, &mut m, sanitizer.as_deref());
                 object_size(&m, tcfg.env.arch).total
             })
             .collect()

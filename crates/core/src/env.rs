@@ -26,7 +26,7 @@
 //! over meaningfully.
 
 use crate::actions::ActionSet;
-use crate::cache::{sequence_signature, EvalCache, MeasureMemo, StepMemo};
+use crate::cache::{memoized_step, sequence_signature, EvalCache, MeasureMemo};
 use posetrl_analyze::{IncrementalAnalysisManager, SanitizeLevel, Sanitizer};
 use posetrl_embed::{EmbedConfig, Embedder};
 use posetrl_ir::{function_fingerprint, module_hash, Module, ModuleHash, Op};
@@ -267,16 +267,15 @@ impl PhaseEnv {
         // the high bit distinguishes feature-extended embeddings from plain
         // ones under the same module hash
         let enc = self.config.encoding as u8 | if self.config.static_features { 0x80 } else { 0 };
-        if let (Some(cache), Some(h)) = (&self.cache, h) {
-            if let Some(v) = cache.get_embed(h, enc) {
-                return (*v).clone();
+        match (&self.cache, h) {
+            (Some(cache), Some(h)) => {
+                let v = cache
+                    .embed
+                    .get_or_compute("embed", (h, enc), || Arc::new(self.encode(m)));
+                (*v).clone()
             }
+            _ => self.encode(m),
         }
-        let v = self.encode(m);
-        if let (Some(cache), Some(h)) = (&self.cache, h) {
-            cache.put_embed(h, enc, v.clone());
-        }
-        v
     }
 
     /// Starts an episode on `module` (the unoptimized input). Returns the
@@ -315,30 +314,21 @@ impl PhaseEnv {
     ///
     /// Panics if the environment was not reset or `a` is out of range.
     pub fn step(&mut self, a: usize) -> StepResult {
-        assert!(self.module.is_some(), "environment not reset");
-        if let Some(cache) = self.cache.clone() {
-            let pre = self.cur_hash.expect("hash tracked while caching");
-            let sig = self.action_sigs[a];
-            let post = if let Some(memo) = cache.get_step(pre, sig) {
-                *self.module.as_mut().unwrap() = memo.module.clone();
-                memo.post
-            } else {
-                self.run_action(a);
-                let module = self.module.as_ref().unwrap();
-                let post = module_hash(module);
-                cache.put_step(
-                    pre,
-                    sig,
-                    StepMemo {
-                        module: module.clone(),
-                        post,
-                    },
-                );
-                post
-            };
-            self.cur_hash = Some(post);
-        } else {
-            self.run_action(a);
+        let module = self.module.as_mut().expect("environment not reset");
+        // every applied pass is re-checked when a sanitizer is attached;
+        // a step-memo hit skips this, the memoized module was sanitized
+        // when it was first computed
+        let run = |m: &mut Module| {
+            let passes = &self.actions.sequences[a];
+            run_passes(&self.pm, m, passes, self.sanitizer.as_deref());
+        };
+        match &self.cache {
+            Some(cache) => {
+                let pre = self.cur_hash.expect("hash tracked while caching");
+                let post = memoized_step(&cache.step, pre, self.action_sigs[a], module, run);
+                self.cur_hash = Some(post);
+            }
+            None => run(module),
         }
 
         let module = self.module.as_ref().unwrap();
@@ -384,37 +374,6 @@ impl PhaseEnv {
                 break;
             }
             state = r.state;
-        }
-    }
-
-    /// Runs action `a`'s pass sub-sequence on the current module in place.
-    ///
-    /// With a sanitizer attached, every applied pass is re-checked (and at
-    /// `Full`, diff-executed) before its output is accepted; a fatal
-    /// verdict panics with the rendered diagnosis and, for miscompiles,
-    /// the delta-reduced JSON repro on stderr. Cache hits skip this — the
-    /// memoized module was sanitized when it was first computed.
-    fn run_action(&mut self, a: usize) {
-        let passes = self.actions.sequences[a].clone();
-        let refs: Vec<&str> = passes.iter().map(|s| s.as_str()).collect();
-        let sanitizer = self.sanitizer.clone();
-        let module = self.module.as_mut().expect("environment not reset");
-        match sanitizer {
-            Some(san) if san.enabled() => {
-                if let Err(e) = self.pm.run_pipeline_sanitized(module, &refs, &san) {
-                    if let PipelineError::Sanitizer { verdict, .. } = &e {
-                        if let Some(mc) = &verdict.miscompile {
-                            eprintln!("--- miscompile artifact (JSON) ---\n{}", mc.to_json());
-                        }
-                    }
-                    panic!("sanitizer rejected action {a} ({refs:?}):\n{e}");
-                }
-            }
-            _ => {
-                self.pm
-                    .run_pipeline(module, &refs)
-                    .expect("action passes are registered");
-            }
         }
     }
 
@@ -467,6 +426,32 @@ impl PhaseEnv {
     }
 }
 
+/// Runs `passes` on `m` in place, sanitized when a sanitizer is attached
+/// (at `Full`, every pass that changed the module is also diff-executed).
+/// A failure panics with the rendered diagnosis, after printing a
+/// miscompile's delta-reduced JSON repro on stderr. Actions and the `-Oz`
+/// baseline both run through here.
+pub(crate) fn run_passes(
+    pm: &PassManager,
+    m: &mut Module,
+    passes: &[impl AsRef<str>],
+    san: Option<&Sanitizer>,
+) {
+    let run = match san {
+        Some(san) => pm.run_pipeline_sanitized(m, passes, san),
+        None => pm.run_pipeline(m, passes).map_err(PipelineError::from),
+    };
+    if let Err(e) = run {
+        if let PipelineError::Sanitizer { verdict, .. } = &e {
+            if let Some(mc) = &verdict.miscompile {
+                eprintln!("--- miscompile artifact (JSON) ---\n{}", mc.to_json());
+            }
+        }
+        let names: Vec<&str> = passes.iter().map(AsRef::as_ref).collect();
+        panic!("pipeline {names:?} failed:\n{e}");
+    }
+}
+
 /// Measures `m` on `arch`: object size, flat MCA cycles and throughput.
 /// With `memo = Some((cache, h))` the result is memoized in `cache` under
 /// the module hash `h`. The environment and `posetrl-serve` both measure
@@ -476,19 +461,18 @@ pub fn measure(
     m: &Module,
     arch: TargetArch,
 ) -> MeasureMemo {
-    if let Some(hit) = memo.and_then(|(cache, h)| cache.get_measure(h, arch)) {
-        return hit;
-    }
-    let report = mca::analyze(m, arch);
-    let meas = MeasureMemo {
-        size: object_size(m, arch).total,
-        flat_cycles: report.flat_cycles,
-        throughput: report.throughput,
+    let compute = || {
+        let report = mca::analyze(m, arch);
+        MeasureMemo {
+            size: object_size(m, arch).total,
+            flat_cycles: report.flat_cycles,
+            throughput: report.throughput,
+        }
     };
-    if let Some((cache, h)) = memo {
-        cache.put_measure(h, arch, meas);
+    match memo {
+        Some((cache, h)) => cache.measure.get_or_compute("measure", (h, arch), compute),
+        None => compute(),
     }
-    meas
 }
 
 /// The expert-feature baseline state: hashed opcode histogram, normalized.

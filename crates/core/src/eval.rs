@@ -7,7 +7,8 @@
 //! - **object size** (the paper's Table IV metric, negative = regression),
 //! - **estimated runtime** from the dynamic cost model (Table V / Fig. 5).
 
-use crate::cache::{sequence_signature, EvalCache, StepMemo};
+use crate::cache::{memoized_step, sequence_signature, EvalCache};
+use crate::env::run_passes;
 use crate::trainer::TrainedModel;
 use parking_lot::Mutex;
 use posetrl_analyze::Sanitizer;
@@ -156,17 +157,8 @@ pub(crate) fn resolved_workers(workers: usize) -> usize {
 }
 
 /// Applies the `-Oz` pipeline, sanitized when a sanitizer is attached.
-pub(crate) fn run_oz(pm: &PassManager, m: &mut posetrl_ir::Module, san: Option<&Arc<Sanitizer>>) {
-    match san {
-        Some(san) if san.enabled() => {
-            pm.run_pipeline_sanitized(m, &pipelines::oz(), san)
-                .expect("Oz pipeline sanitizes clean");
-        }
-        _ => {
-            pm.run_pipeline(m, &pipelines::oz())
-                .expect("Oz pipeline runs");
-        }
-    }
+pub(crate) fn run_oz(pm: &PassManager, m: &mut posetrl_ir::Module, san: Option<&Sanitizer>) {
+    run_passes(pm, m, &pipelines::oz(), san);
 }
 
 /// Evaluates one benchmark: `-Oz` baseline vs the model's greedy sequence.
@@ -180,40 +172,21 @@ fn evaluate_one(
     opts: &ParallelEval,
 ) -> BenchmarkResult {
     let cache = opts.cache.as_ref();
-    let san = opts.sanitizer.as_ref();
     // -Oz baseline, memoized as a step when a cache is attached
-    let oz_module = match cache {
+    let mut oz_module = b.module.clone();
+    let run = |m: &mut posetrl_ir::Module| run_oz(pm, m, opts.sanitizer.as_deref());
+    match cache {
         Some(cache) => {
             let pre = module_hash(&b.module);
-            match cache.get_step(pre, oz_signature) {
-                Some(memo) => memo.module.clone(),
-                None => {
-                    let mut m = b.module.clone();
-                    run_oz(pm, &mut m, san);
-                    let post = module_hash(&m);
-                    cache.put_step(
-                        pre,
-                        oz_signature,
-                        StepMemo {
-                            module: m.clone(),
-                            post,
-                        },
-                    );
-                    m
-                }
-            }
+            memoized_step(&cache.step, pre, oz_signature, &mut oz_module, run);
         }
-        None => {
-            let mut m = b.module.clone();
-            run_oz(pm, &mut m, san);
-            m
-        }
-    };
+        None => run(&mut oz_module),
+    }
     let oz_size = object_size(&oz_module, arch).total;
 
     // model-predicted sequence
     let (model_module, sequence) =
-        model.optimize_with(b.module.clone(), cache.cloned(), san.cloned());
+        model.optimize_with(b.module.clone(), cache.cloned(), opts.sanitizer.clone());
     let model_size = object_size(&model_module, arch).total;
 
     let size_reduction_pct = 100.0 * (oz_size as f64 - model_size as f64) / oz_size as f64;

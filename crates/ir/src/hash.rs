@@ -132,7 +132,7 @@ pub fn function_hash(m: &Module, f: &Function) -> FunctionHash {
 
 /// Per-function hash table in `func_ids` order: `(name, chunk digest)`.
 ///
-/// This is the unit the pass manager diffs to emit change sets.
+/// These are the digests [`module_hash`] folds (see [`fold_module_hash`]).
 pub fn function_hashes(m: &Module) -> Vec<(String, FunctionHash)> {
     m.func_ids()
         .map(|fid| {

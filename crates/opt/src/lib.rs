@@ -45,9 +45,7 @@ pub mod util;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use manager::{
-    FuncChangeSet, PassManager, PassRecord, PipelineError, SanitizedRun, UnknownPassError,
-};
+pub use manager::{PassManager, PipelineError, UnknownPassError};
 
 use posetrl_ir::Module;
 

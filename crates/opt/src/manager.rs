@@ -2,85 +2,10 @@
 
 use crate::passes;
 use crate::Pass;
-use posetrl_analyze::{Diagnostic, Sanitizer, TransformVerdict};
-use posetrl_ir::{function_hashes, module_header_hash, Module};
+use posetrl_analyze::{Sanitizer, TransformVerdict};
+use posetrl_ir::{module_hash, Module};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// The per-function change set one pass application produced, computed by
-/// diffing the name-keyed [`function_hashes`] tables of the pre- and
-/// post-pass modules (duplicate names fold their digests together, so a
-/// malformed module still diffs deterministically).
-///
-/// `module_hash` is a fold over exactly these per-function digests plus
-/// the header digest, so an empty change set is equivalent to "the module
-/// hash did not move".
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FuncChangeSet {
-    /// Functions present on both sides whose chunk digest moved.
-    pub changed: Vec<String>,
-    /// Functions only the post-pass module has.
-    pub added: Vec<String>,
-    /// Functions only the pre-pass module has.
-    pub removed: Vec<String>,
-    /// Whether the module-level header (module line + globals) moved.
-    pub header_changed: bool,
-}
-
-impl FuncChangeSet {
-    /// True when nothing changed at all.
-    pub fn is_empty(&self) -> bool {
-        !self.header_changed
-            && self.changed.is_empty()
-            && self.added.is_empty()
-            && self.removed.is_empty()
-    }
-
-    /// Every function name the change set touches (changed + added +
-    /// removed), in sorted order.
-    pub fn touched(&self) -> Vec<String> {
-        let mut all: Vec<String> = self
-            .changed
-            .iter()
-            .chain(&self.added)
-            .chain(&self.removed)
-            .cloned()
-            .collect();
-        all.sort();
-        all.dedup();
-        all
-    }
-
-    /// Diffs two modules into a change set.
-    pub fn diff(pre: &Module, post: &Module) -> FuncChangeSet {
-        fn table(m: &Module) -> BTreeMap<String, Vec<u128>> {
-            let mut t: BTreeMap<String, Vec<u128>> = BTreeMap::new();
-            for (name, h) in function_hashes(m) {
-                t.entry(name).or_default().push(h.0);
-            }
-            t
-        }
-        let pre_t = table(pre);
-        let post_t = table(post);
-        let mut cs = FuncChangeSet {
-            header_changed: module_header_hash(pre) != module_header_hash(post),
-            ..FuncChangeSet::default()
-        };
-        for (name, digests) in &pre_t {
-            match post_t.get(name) {
-                None => cs.removed.push(name.clone()),
-                Some(post_digests) if post_digests != digests => cs.changed.push(name.clone()),
-                Some(_) => {}
-            }
-        }
-        for name in post_t.keys() {
-            if !pre_t.contains_key(name) {
-                cs.added.push(name.clone());
-            }
-        }
-        cs
-    }
-}
 
 /// Error returned when a pipeline names a pass that is not registered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,30 +52,6 @@ impl From<UnknownPassError> for PipelineError {
     fn from(e: UnknownPassError) -> PipelineError {
         PipelineError::UnknownPass(e)
     }
-}
-
-/// Per-pass attribution from a sanitized pipeline run.
-#[derive(Debug, Clone)]
-pub struct PassRecord {
-    /// Pass name as given in the pipeline.
-    pub pass: String,
-    /// Whether the pass changed the module (by hash, not self-report).
-    pub changed: bool,
-    /// Which functions (and whether the header) the pass touched. Empty
-    /// iff `changed` is false. Populated only on sanitized runs — the
-    /// unsanitized fast path does not hash at all.
-    pub changes: FuncChangeSet,
-    /// Non-fatal diagnostics the pass newly introduced.
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-/// The result of a sanitized pipeline run that completed.
-#[derive(Debug, Clone, Default)]
-pub struct SanitizedRun {
-    /// Whether any pass changed the module.
-    pub changed: bool,
-    /// One record per pipeline entry, in execution order.
-    pub records: Vec<PassRecord>,
 }
 
 /// Applies passes and pipelines by name, mirroring LLVM's `opt` tool.
@@ -229,26 +130,14 @@ impl PassManager {
         Ok(changed)
     }
 
-    /// Runs a whitespace-separated pass string, e.g.
-    /// `"-simplifycfg -sroa -early-cse"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownPassError`] on the first unknown name.
-    pub fn run_flags(&self, module: &mut Module, flags: &str) -> Result<bool, UnknownPassError> {
-        let names: Vec<&str> = flags.split_whitespace().collect();
-        self.run_pipeline(module, &names)
-    }
-
     /// Runs a pipeline under a [`Sanitizer`]: after every pass that
     /// actually changed the module (compared by hash, so a pass cannot
     /// mis-report), the sanitizer re-verifies, re-lints and — at level
-    /// `full` — differentially executes the module. The returned records
-    /// attribute every newly introduced diagnostic to the pass that caused
-    /// it.
+    /// `full` — differentially executes the module. Non-fatal findings
+    /// are counted in the sanitizer's statistics. Returns `true` if any
+    /// pass changed the module.
     ///
-    /// With a disabled sanitizer this degrades to [`run_pipeline`] plus
-    /// per-pass change attribution.
+    /// With a disabled sanitizer this is [`run_pipeline`].
     ///
     /// # Errors
     ///
@@ -264,70 +153,34 @@ impl PassManager {
         module: &mut Module,
         names: &[S],
         san: &Sanitizer,
-    ) -> Result<SanitizedRun, PipelineError> {
-        let mut run = SanitizedRun::default();
+    ) -> Result<bool, PipelineError> {
         if !san.enabled() {
-            for name in names {
-                let changed = self.run_pass(module, name.as_ref())?;
-                run.changed |= changed;
-                run.records.push(PassRecord {
-                    pass: name.as_ref().to_string(),
-                    changed,
-                    changes: FuncChangeSet::default(),
-                    diagnostics: Vec::new(),
-                });
-            }
-            return Ok(run);
+            return Ok(self.run_pipeline(module, names)?);
         }
+        let mut changed = false;
+        let mut hash = module_hash(module);
         for name in names {
             let name = name.as_ref();
             let pre = module.clone();
             self.run_pass(module, name)?;
-            let changes = FuncChangeSet::diff(&pre, module);
-            let changed = !changes.is_empty();
-            run.changed |= changed;
-            let diagnostics = if changed {
-                let reapply = |input: &Module| -> Option<Module> {
-                    let mut out = input.clone();
-                    self.run_pass(&mut out, name).ok().map(|_| out)
-                };
-                let verdict = san.check_transform(name, &pre, module, Some(&reapply));
-                if verdict.is_fatal() {
-                    return Err(PipelineError::Sanitizer {
-                        pass: name.to_string(),
-                        verdict: Box::new(verdict),
-                    });
-                }
-                verdict.diagnostics
-            } else {
-                Vec::new()
+            let pre_hash = std::mem::replace(&mut hash, module_hash(module));
+            if pre_hash == hash {
+                continue;
+            }
+            changed = true;
+            let reapply = |input: &Module| -> Option<Module> {
+                let mut out = input.clone();
+                self.run_pass(&mut out, name).ok().map(|_| out)
             };
-            run.records.push(PassRecord {
-                pass: name.to_string(),
-                changed,
-                changes,
-                diagnostics,
-            });
+            let verdict = san.check_transform(name, &pre, module, Some(&reapply));
+            if verdict.is_fatal() {
+                return Err(PipelineError::Sanitizer {
+                    pass: name.to_string(),
+                    verdict: Box::new(verdict),
+                });
+            }
         }
-        Ok(run)
-    }
-
-    /// Runs a single pass and reports the per-function change set
-    /// alongside the hash-derived changed flag.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownPassError`] if the name is not registered.
-    pub fn run_pass_tracked(
-        &self,
-        module: &mut Module,
-        name: &str,
-    ) -> Result<(bool, FuncChangeSet), UnknownPassError> {
-        let pre = module.clone();
-        self.run_pass(module, name)?;
-        let changes = FuncChangeSet::diff(&pre, module);
-        let changed = !changes.is_empty();
-        Ok((changed, changes))
+        Ok(changed)
     }
 }
 
@@ -410,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn sanitized_pipeline_attributes_changes_per_pass() {
+    fn sanitized_pipeline_checks_only_changing_passes() {
         use posetrl_analyze::{SanitizeLevel, Sanitizer};
         let pm = PassManager::new();
         let mut m = parse_module(
@@ -427,16 +280,17 @@ bb0:
         )
         .unwrap();
         let san = Sanitizer::new(SanitizeLevel::Full);
-        let run = pm
-            .run_pipeline_sanitized(&mut m, &["mem2reg", "barrier", "adce"], &san)
+        let changed = pm
+            .run_pipeline_sanitized(&mut m, &["mem2reg", "barrier"], &san)
             .expect("clean pipeline sanitizes");
-        assert!(run.changed);
-        assert_eq!(run.records.len(), 3);
-        assert!(run.records[0].changed, "mem2reg rewrites the allocas");
-        assert!(!run.records[1].changed, "barrier is a no-op");
-        let st = san.stats();
-        assert!(st.checks >= 1);
-        assert_eq!(st.miscompiles, 0);
+        assert!(changed, "mem2reg rewrites the allocas");
+        assert_eq!(san.stats().checks, 1, "the no-op barrier is not checked");
+        assert_eq!(san.stats().miscompiles, 0);
+        let changed = pm
+            .run_pipeline_sanitized(&mut m, &["barrier"], &san)
+            .unwrap();
+        assert!(!changed, "barrier is a no-op");
+        assert_eq!(san.stats().checks, 1);
     }
 
     #[test]
@@ -475,26 +329,5 @@ bb0:
             .run_pipeline_sanitized(&mut m, &["-frobnicate"], &san)
             .unwrap_err();
         assert!(matches!(err, PipelineError::UnknownPass(_)), "{err}");
-    }
-
-    #[test]
-    fn flags_string_runs() {
-        let pm = PassManager::new();
-        let mut m = parse_module(
-            r#"
-module "m"
-fn @f(i64) -> i64 internal {
-bb0:
-  %p = alloca i64 x 1
-  store i64 %arg0, %p
-  %v = load i64, %p
-  ret %v
-}
-"#,
-        )
-        .unwrap();
-        let changed = pm.run_flags(&mut m, "-mem2reg -instcombine -adce").unwrap();
-        assert!(changed);
-        assert_eq!(m.num_insts(), 1);
     }
 }

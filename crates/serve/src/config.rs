@@ -13,7 +13,7 @@ use posetrl_analyze::EnvParseError;
 /// Admission-control and sizing knobs for one server instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads == eval-cache shards (`POSETRL_SERVE_WORKERS`).
+    /// Worker threads (`POSETRL_SERVE_WORKERS`).
     pub workers: usize,
     /// Per-request module-text byte budget
     /// (`POSETRL_SERVE_MAX_MODULE_BYTES`).
@@ -27,7 +27,8 @@ pub struct ServeConfig {
     /// Content-addressed response store capacity, entries
     /// (`POSETRL_SERVE_STORE_CAP`).
     pub store_capacity: usize,
-    /// Total eval-cache capacity split across the worker shards
+    /// Eval-cache capacity, entries per memo class: steps, measurements
+    /// and embeddings are each bounded at this count
     /// (`POSETRL_SERVE_CACHE_CAP`).
     pub cache_capacity: usize,
 }
@@ -86,7 +87,7 @@ impl ServeConfig {
         self.workers = self.workers.max(1);
         self.queue_depth = self.queue_depth.max(1);
         self.store_capacity = self.store_capacity.max(1);
-        self.cache_capacity = self.cache_capacity.max(self.workers);
+        self.cache_capacity = self.cache_capacity.max(1);
         self.max_steps = self.max_steps.max(1);
         self
     }

@@ -9,14 +9,15 @@
 //!
 //! - [`protocol`]: the strict line-oriented request/response format,
 //! - [`config`]: `POSETRL_SERVE_*` env budgets (admission control),
-//! - [`server`]: the sharded worker pool (each worker runs the policy
-//!   inline), response store, and stdio / Unix-socket transports,
+//! - [`server`]: the worker pool (each worker runs the policy inline,
+//!   requests route to a worker by module hash), response store, and
+//!   stdio / Unix-socket transports,
 //! - [`loadgen`]: the 1/8/64-client synthetic load schedule behind
 //!   `repro -- servestats` and the nightly CI bench.
 //!
 //! Everything user-visible is deterministic in the request stream: the
-//! bit-identical contract extends through sharding and caching (see
-//! DESIGN.md §12).
+//! bit-identical contract extends through worker routing and caching
+//! (see DESIGN.md §12).
 
 pub mod config;
 pub mod loadgen;

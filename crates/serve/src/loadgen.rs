@@ -108,23 +108,19 @@ impl PhaseReport {
     }
 }
 
-/// Whole-run report: per-phase metrics plus pool-level balance.
+/// Whole-run report: per-phase metrics plus pool-level counters.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Per-phase metrics, in schedule order.
     pub phases: Vec<PhaseReport>,
     /// Corpus size the schedule swept.
     pub corpus: usize,
-    /// Worker/shard count of the driven server.
+    /// Worker count of the driven server.
     pub workers: usize,
     /// Store hit rate of the final (repeat-traffic) phase — the ≥ 0.9 gate.
     pub warm_hit_rate: f64,
     /// Total error responses across every phase — the zero gate.
     pub protocol_errors: u64,
-    /// Total eval-cache lookups per shard over the whole run.
-    pub shard_lookups: Vec<u64>,
-    /// max/min of the non-zero shard lookup counts (1.0 = perfectly even).
-    pub shard_balance: f64,
     /// Final server counters.
     pub stats: ServerStats,
 }
@@ -138,8 +134,6 @@ impl LoadReport {
             "phases": Value::Array(self.phases.iter().map(PhaseReport::to_value).collect()),
             "warm_hit_rate": self.warm_hit_rate,
             "protocol_errors": self.protocol_errors,
-            "shard_lookups": self.shard_lookups,
-            "shard_balance": self.shard_balance,
             "store_hits": self.stats.store_hits,
             "store_misses": self.stats.store_misses,
             "cache_hit_rate": self.stats.cache.hit_rate(),
@@ -180,7 +174,7 @@ fn run_phase(server: &Server, corpus: &[(String, String)], spec: PhaseSpec) -> P
                 for pass in 0..spec.passes {
                     for i in 0..corpus.len() {
                         // offset clients so concurrent traffic spreads over
-                        // modules (and therefore shards) instead of stampeding
+                        // modules (and therefore workers) instead of stampeding
                         let (name, text) = &corpus[(i + c) % corpus.len()];
                         let req = Request {
                             id: format!("{}-c{c}-p{pass}-{name}", spec.name),
@@ -253,20 +247,12 @@ pub fn run_load(server: &Server, corpus: &[(String, String)], phases: &[PhaseSpe
         .map(|&spec| run_phase(server, corpus, spec))
         .collect();
     let stats = server.stats();
-    let shard_lookups: Vec<u64> = stats.shards.iter().map(|s| s.total_lookups()).collect();
-    let nonzero: Vec<u64> = shard_lookups.iter().copied().filter(|&n| n > 0).collect();
-    let shard_balance = match (nonzero.iter().max(), nonzero.iter().min()) {
-        (Some(&max), Some(&min)) if min > 0 => max as f64 / min as f64,
-        _ => 1.0,
-    };
     LoadReport {
         warm_hit_rate: reports.last().map(|r| r.store_hit_rate).unwrap_or(0.0),
         protocol_errors: reports.iter().map(|r| r.errors).sum(),
         corpus: corpus.len(),
         workers: server.config().workers,
         phases: reports,
-        shard_lookups,
-        shard_balance,
         stats,
     }
 }
@@ -351,8 +337,8 @@ pub fn servestats() -> Result<(String, Value), posetrl_analyze::EnvParseError> {
 
     let mut text = String::new();
     text.push_str(&format!(
-        "servestats: corpus={} workers={} warm_hit_rate={:.3} protocol_errors={} shard_balance={:.2}\n",
-        report.corpus, report.workers, report.warm_hit_rate, report.protocol_errors, report.shard_balance
+        "servestats: corpus={} workers={} warm_hit_rate={:.3} protocol_errors={}\n",
+        report.corpus, report.workers, report.warm_hit_rate, report.protocol_errors
     ));
     for p in &report.phases {
         text.push_str(&format!(

@@ -179,7 +179,7 @@ pub struct OkResponse {
     pub wall_us: u64,
     /// Whether the response came straight from the content-addressed store.
     pub cached: bool,
-    /// The eval-cache shard / worker that owned this module.
+    /// The worker that owned this module.
     pub shard: u64,
     /// States per policy sweep: 1 for a rollout (each decision sweeps one
     /// state), 0 for a store hit (no inference ran).

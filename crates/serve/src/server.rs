@@ -2,11 +2,11 @@
 //!
 //! Architecture (DESIGN.md §12):
 //!
-//! - **Sharded cache + worker pool.** One [`EvalCache`] with as many
-//!   shards as workers; a request's module routes to worker
-//!   `cache.shard_of(module_hash)`, so each worker's step memos,
-//!   measurements, and embeddings land in "its" shard and shard balance
-//!   is observable per request stream.
+//! - **Shared cache + worker pool.** Every worker steps, measures and
+//!   embeds through one [`EvalCache`]. A request routes to the worker a
+//!   SplitMix64 finalizer of its module hash picks, so a module always
+//!   lands on the same worker (reported as the response's `shard`) and
+//!   the admission partition is a property of the request stream.
 //! - **Inline inference.** Each worker rolls its request out with
 //!   [`TrainedModel::rollout`], the greedy loop offline evaluation uses,
 //!   picking every action on its own thread from the shared model. A
@@ -108,10 +108,8 @@ pub struct ServerStats {
     /// Subset of `store_hits` answered through the front-door key,
     /// without parsing, verifying or hashing the module.
     pub front_door_hits: u64,
-    /// Aggregate eval-cache counters.
+    /// Eval-cache counters.
     pub cache: CacheStats,
-    /// Per-shard eval-cache counters, in shard order.
-    pub shards: Vec<CacheStats>,
     /// Policy-inference counters.
     pub batch: BatchStats,
 }
@@ -165,7 +163,7 @@ impl Server {
         sanitizer: Option<Arc<Sanitizer>>,
     ) -> Server {
         // Attach a shared per-function incremental analysis manager to the
-        // sharded cache: every worker env that adopts the cache then
+        // eval cache: every worker env that adopts the cache then
         // memoizes embeddings, lints, absint summaries and validate
         // obligations by function content. Results are bit-identical
         // either way.
@@ -187,9 +185,8 @@ impl Server {
         incremental: Option<Arc<posetrl_analyze::IncrementalAnalysisManager>>,
     ) -> Server {
         let cfg = cfg.normalized();
-        let cache = Arc::new(
-            EvalCache::sharded(cfg.cache_capacity, cfg.workers).with_incremental(incremental),
-        );
+        let cache =
+            Arc::new(EvalCache::with_capacity(cfg.cache_capacity).with_incremental(incremental));
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
             model,
@@ -312,7 +309,7 @@ impl Server {
             ));
         }
         let hash = module_hash(&module);
-        let shard = inner.cache.shard_of(hash);
+        let shard = worker_of(hash, self.queues.len());
         // level two, the content-addressed store: an equal module is a
         // pure hit. A known key's response was looked up above and is
         // gone, so the store counts each request once.
@@ -334,7 +331,7 @@ impl Server {
             reply: reply.clone(),
             start,
         };
-        match self.queues[shard % self.queues.len()].try_send(job) {
+        match self.queues[shard].try_send(job) {
             Ok(()) => None,
             Err(TrySendError::Full(job)) => {
                 self.inner.overloads.fetch_add(1, Ordering::Relaxed);
@@ -377,7 +374,6 @@ impl Server {
             store_misses: store.misses,
             front_door_hits: i.front_door_hits.load(Ordering::Relaxed),
             cache: i.cache.stats(),
-            shards: i.cache.shard_stats(),
             batch: BatchStats {
                 batches: decisions,
                 states: decisions,
@@ -393,6 +389,20 @@ impl Drop for Server {
             let _ = w.join();
         }
     }
+}
+
+/// The worker in `[0, workers)` that owns modules hashed `h`.
+///
+/// The structural hash is already well-mixed, but its low bits alone feed
+/// the modulo, so fold the halves together and run a SplitMix64 finalizer
+/// to spread any residual structure.
+fn worker_of(h: ModuleHash, workers: usize) -> usize {
+    let folded = (h.0 as u64) ^ ((h.0 >> 64) as u64);
+    let mut z = folded.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z % workers as u64) as usize
 }
 
 /// A stored response re-issued under a new request's id and timing.

@@ -15,6 +15,10 @@
 //! the names the library sources read must equal the README's
 //! "Environment variables" list, and every name CI sets must be read by
 //! some source or test harness.
+//!
+//! One design rule rides along: every content-addressed cache goes
+//! through `posetrl_analyze::Memo`, so no library source outside
+//! `crates/analyze/src/memo.rs` names the `BoundedMap` under it.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -238,5 +242,20 @@ fn every_env_variable_ci_sets_is_read_somewhere() {
     assert!(
         unread.is_empty(),
         "ci.yml sets {unread:?}, which no source under crates/*/src or tests/ reads"
+    );
+}
+
+#[test]
+fn only_the_memo_module_names_the_bounded_map() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let naming: Vec<PathBuf> = crate_sources()
+        .into_iter()
+        .filter(|p| std::fs::read_to_string(p).unwrap().contains("BoundedMap"))
+        .map(|p| p.strip_prefix(root).unwrap().to_path_buf())
+        .collect();
+    assert_eq!(
+        naming,
+        [PathBuf::from("crates/analyze/src/memo.rs")],
+        "caches must use posetrl_analyze::Memo rather than wrap their own BoundedMap"
     );
 }

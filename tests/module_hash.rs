@@ -117,7 +117,7 @@ fn hash_tracks_printer_through_pass_pipelines() {
 
 /// The PR-7 fold contract on the whole corpus: `module_hash` must equal
 /// the fold of the header digest and every per-function chunk digest, in
-/// function order, so change-set tracking can reuse unchanged chunks.
+/// function order, so a function edit moves exactly its own chunk.
 #[test]
 fn module_hash_is_fold_of_function_hashes_on_training_suite() {
     for b in training_suite() {

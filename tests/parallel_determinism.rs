@@ -184,8 +184,8 @@ fn evaluation_numbers_are_identical_cached_parallel_vs_serial() {
     let benches: Vec<Benchmark> = mibench().into_iter().take(4).collect();
 
     let (serial, serial_stats) = evaluate_suite(&model, &benches, TargetArch::X86_64, true);
-    // a sharded cache must be just as invisible as a single-shard one
-    let cache = Arc::new(EvalCache::sharded(1 << 12, 4));
+    // a shared cache must be invisible to every number
+    let cache = Arc::new(EvalCache::with_capacity(1 << 12));
     for workers in [2, 8] {
         let (par, par_stats) = evaluate_suite_parallel(
             &model,
@@ -220,22 +220,4 @@ fn evaluation_numbers_are_identical_cached_parallel_vs_serial() {
     // have served hits rather than recomputing.
     let stats = cache.stats();
     assert!(stats.total_hits() > 0, "{}", stats.render());
-    // Shard balance: episode traffic routes by the structural hash of each
-    // intermediate module, so lookups must spread over the shards — every
-    // shard sees traffic and none carries more than 2x its fair share.
-    let lookups: Vec<u64> = cache
-        .shard_stats()
-        .iter()
-        .map(|s| s.total_lookups())
-        .collect();
-    assert_eq!(lookups.len(), 4);
-    let total: u64 = lookups.iter().sum();
-    let fair = total as f64 / lookups.len() as f64;
-    for (shard, &n) in lookups.iter().enumerate() {
-        assert!(n > 0, "shard {shard} saw no traffic: {lookups:?}");
-        assert!(
-            (n as f64) <= 2.0 * fair,
-            "shard {shard} is over 2x the fair share: {lookups:?}"
-        );
-    }
 }
