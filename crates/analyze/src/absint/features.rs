@@ -1,6 +1,6 @@
 //! AutoPhase-style static feature vector derived from the absint facts.
 //!
-//! [`module_features`] condenses the interprocedural analysis result into a
+//! [`features`] condenses the module's analysis results into a
 //! fixed-width vector of `FEATURE_DIM` floats, suitable for appending to the
 //! RL state (behind `EnvConfig::static_features`). Every entry is a fraction,
 //! a normalized average, or a squashed count (`x / (x + K)`), so all values
@@ -75,11 +75,9 @@
 //! from the loop dependence analysis ([`crate::depend`]).
 
 use super::domain::{AbsVal, Nullness, PtrBase};
-use super::{analyze_module, ModuleAbsint};
-use crate::alias::ModuleAlias;
-use crate::depend::{DepKind, ModuleDepend};
-use crate::scev::{ModuleScev, ScevConfig};
-use posetrl_ir::{Module, Op, Ty};
+use crate::bundle::ModuleAnalyses;
+use crate::depend::DepKind;
+use posetrl_ir::{Op, Ty};
 
 /// Width of the static feature vector.
 pub const FEATURE_DIM: usize = 56;
@@ -104,32 +102,11 @@ fn width_log2(lo: i64, hi: i64) -> f64 {
     (128 - w.leading_zeros()) as f64 / 64.0
 }
 
-/// Computes the feature vector from a precomputed absint analysis,
-/// running the alias analysis internally (bit-identical to
-/// [`features_with_alias`] on the same module).
-pub fn features_with(m: &Module, mi: &ModuleAbsint) -> [f64; FEATURE_DIM] {
-    features_with_alias(m, mi, &crate::alias::analyze_module(m))
-}
-
-/// Computes the feature vector from precomputed absint *and* alias
-/// analyses, running the SCEV + profile analysis internally from the
-/// shared absint facts (bit-identical to [`features_full`] on the
-/// same inputs).
-pub fn features_with_alias(m: &Module, mi: &ModuleAbsint, ma: &ModuleAlias) -> [f64; FEATURE_DIM] {
-    let sc = crate::scev::analyze_module_cfg_absint(m, mi, &ScevConfig::default(), None);
-    let md = crate::depend::analyze_module_full(m, &sc, ma, None);
-    features_full(m, mi, ma, &sc, &md)
-}
-
-/// Computes the feature vector from precomputed absint, alias,
-/// SCEV/profile, and dependence analyses.
-pub fn features_full(
-    m: &Module,
-    mi: &ModuleAbsint,
-    ma: &ModuleAlias,
-    sc: &ModuleScev,
-    md: &ModuleDepend,
-) -> [f64; FEATURE_DIM] {
+/// Computes the feature vector from the module's absint, alias,
+/// SCEV/profile and dependence results.
+pub fn features(a: &ModuleAnalyses) -> [f64; FEATURE_DIM] {
+    let m = a.module();
+    let (mi, ma, sc, md) = (a.absint(), a.alias(), a.scev(), a.depend());
     let mut out = [0.0; FEATURE_DIM];
 
     let mut n_funcs = 0.0;
@@ -499,15 +476,15 @@ pub fn features_full(
     out
 }
 
-/// Runs the analysis and computes the feature vector in one call.
-pub fn module_features(m: &Module) -> [f64; FEATURE_DIM] {
-    features_with(m, &analyze_module(m))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use posetrl_ir::parser::parse_module;
+    use posetrl_ir::Module;
+
+    fn features_of(m: &Module) -> [f64; FEATURE_DIM] {
+        features(&ModuleAnalyses::new(m, None))
+    }
 
     const SAMPLE: &str = r#"
 module "t"
@@ -528,8 +505,8 @@ bb2:
     #[test]
     fn features_are_deterministic_and_bounded() {
         let m = parse_module(SAMPLE).unwrap();
-        let a = module_features(&m);
-        let b = module_features(&m);
+        let a = features_of(&m);
+        let b = features_of(&m);
         assert_eq!(a, b, "bit-identical across runs");
         for (i, v) in a.iter().enumerate() {
             assert!(*v >= 0.0 && *v <= 1.0, "feature {i} out of range: {v}");
@@ -540,7 +517,7 @@ bb2:
     #[test]
     fn constant_heavy_module_scores_high_on_singletons() {
         let m = parse_module(SAMPLE).unwrap();
-        let f = module_features(&m);
+        let f = features_of(&m);
         assert!(f[2] > 0.5, "most values fold to singletons: {}", f[2]);
         assert!(f[14] > 0.0, "the condbr is decided: {}", f[14]);
     }
@@ -548,7 +525,7 @@ bb2:
     #[test]
     fn empty_module_is_all_zeros_except_counts() {
         let m = parse_module("module \"empty\"\n").unwrap();
-        let f = module_features(&m);
+        let f = features_of(&m);
         assert!(f.iter().all(|v| *v == 0.0), "{f:?}");
     }
 
@@ -565,16 +542,13 @@ bb0:
 "#;
 
     #[test]
-    fn alias_dims_populate_and_agree_with_precomputed() {
+    fn alias_dims_populate() {
         let m = parse_module(MEM_SAMPLE).unwrap();
-        let f = module_features(&m);
+        let f = features_of(&m);
         assert!(f[34] > 0.9, "every pointer is a singleton slot: {}", f[34]);
         assert_eq!(f[33], 0.0, "no ⊤ pointers: {}", f[33]);
         assert!(f[38] > 0.0, "the load has one feeding def: {}", f[38]);
         assert!(f[39] > 0.0, "chain depth 1: {}", f[39]);
-        let mi = analyze_module(&m);
-        let ma = crate::alias::analyze_module(&m);
-        assert_eq!(f, features_with_alias(&m, &mi, &ma), "paths bit-identical");
     }
 
     const LOOP_SAMPLE: &str = r#"
@@ -594,9 +568,9 @@ bb2:
 "#;
 
     #[test]
-    fn scev_dims_populate_and_agree_with_precomputed() {
+    fn scev_dims_populate() {
         let m = parse_module(LOOP_SAMPLE).unwrap();
-        let f = module_features(&m);
+        let f = features_of(&m);
         assert!(f[40] > 0.0, "one loop: {}", f[40]);
         assert_eq!(f[41], 0.0, "no nested loops: {}", f[41]);
         assert_eq!(f[42], 1.0, "the trip count is exact: {}", f[42]);
@@ -604,22 +578,8 @@ bb2:
         assert!(f[44] > 0.0 && f[44] < 1.0, "trip magnitude: {}", f[44]);
         assert!(f[46] > 0.0, "some blocks sit in loops: {}", f[46]);
         assert!(f[47] > 0.0, "recurrences recognized: {}", f[47]);
-        let mi = analyze_module(&m);
-        let ma = crate::alias::analyze_module(&m);
-        let sc = crate::scev::analyze_module_cfg_absint(
-            &m,
-            &mi,
-            &crate::scev::ScevConfig::default(),
-            None,
-        );
-        let md = crate::depend::analyze_module_full(&m, &sc, &ma, None);
-        assert_eq!(
-            f,
-            features_full(&m, &mi, &ma, &sc, &md),
-            "paths bit-identical"
-        );
         assert!(
-            module_features(&parse_module(SAMPLE).unwrap())[40] == 0.0,
+            features_of(&parse_module(SAMPLE).unwrap())[40] == 0.0,
             "loop-free module has zero loop mass"
         );
     }
@@ -651,14 +611,14 @@ bb3:
     #[test]
     fn depend_dims_populate_and_stay_zero_on_loop_free_modules() {
         let m = parse_module(DEP_SAMPLE).unwrap();
-        let f = module_features(&m);
+        let f = features_of(&m);
         assert_eq!(f[48], 0.0, "the carried dep blocks parallelism: {}", f[48]);
         assert_eq!(f[49], 1.0, "distance 2 admits a jam: {}", f[49]);
         assert_eq!(f[50], 1.0, "the loop has a carried dep: {}", f[50]);
         assert!(f[51] > 0.0, "one dependence survives: {}", f[51]);
         assert_eq!(f[52], 1.0, "it is a flow dep: {}", f[52]);
         assert!(f[55] > 0.0, "min distance proved: {}", f[55]);
-        let loop_free = module_features(&parse_module(SAMPLE).unwrap());
+        let loop_free = features_of(&parse_module(SAMPLE).unwrap());
         for (i, v) in loop_free.iter().enumerate().take(56).skip(48) {
             assert_eq!(*v, 0.0, "dim {i} must be zero on a loop-free module");
         }

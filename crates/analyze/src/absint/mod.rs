@@ -21,7 +21,7 @@
 //! engine terminates without a dedicated widening hook.
 //!
 //! Three consumers sit on top: the `range-trap`/`null-deref`/`dead-branch`
-//! lints ([`check`]), the SCEV analysis (which bounds symbolic trip counts
+//! lints ([`lint_with`]), the SCEV analysis (which bounds symbolic trip counts
 //! with these facts), and the static feature vector ([`features`]) the RL
 //! environment can append to its state. No pass reads the facts directly.
 
@@ -394,13 +394,9 @@ pub(crate) fn call_graph_sccs(m: &Module, callees: &HashMap<u32, Vec<u32>>) -> V
 /// Upper bound on within-SCC summary iterations before returns widen to ⊤.
 const SCC_ITER_LIMIT: usize = 24;
 
-/// Runs the interprocedural analysis over `m`.
-pub fn analyze_module(m: &Module) -> ModuleAbsint {
-    analyze_module_with(m, None)
-}
-
-/// [`analyze_module`], optionally memoizing per-function analyses through
-/// an [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager).
+/// Runs the interprocedural analysis over `m`, optionally memoizing
+/// per-function analyses through an
+/// [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager).
 ///
 /// The driver schedule (two sharpening rounds, bottom-up SCC fixpoints,
 /// widening at `SCC_ITER_LIMIT`) is identical with and without a manager;
@@ -766,23 +762,6 @@ pub fn lint_with(m: &Module, mi: &ModuleAbsint, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Runs the analysis and the lints over `m` in one call.
-pub fn check(m: &Module, out: &mut Vec<Diagnostic>) {
-    check_with(m, None, out);
-}
-
-/// [`check`], optionally routed through an incremental manager: the
-/// analysis memoizes per-function, the (linear-time) lint pass then runs
-/// over the assembled facts as usual.
-pub fn check_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mi = analyze_module_with(m, mgr);
-    lint_with(m, &mi, out);
-}
-
 // ---------------------------------------------------------------------------
 // Textual dump (mini-analyze --absint)
 // ---------------------------------------------------------------------------
@@ -870,7 +849,7 @@ mod tests {
 
     fn facts_of(text: &str, func: &str) -> (Module, ModuleAbsint, FuncId) {
         let m = parse_module(text).expect("test module parses");
-        let mi = analyze_module(&m);
+        let mi = analyze_module_with(&m, None);
         let fid = m.func_by_name(func).expect("function exists");
         (m, mi, fid)
     }
@@ -940,7 +919,7 @@ bb3:
         // the nastiest chain shapes for interval widening: a two-deep nest
         // whose inner counter runs *down*, plus a stand-alone down-counting
         // loop with a stride that skips the exit value. The assertion is
-        // mostly that `analyze_module` converges (a widening bug here loops
+        // mostly that `analyze_module_with` converges (a widening bug here loops
         // until SCC_ITER_LIMIT or forever); the summaries staying non-⊥
         // pins that every exit stayed reachable through the joins.
         let (_, mi, outer) = facts_of(
@@ -1092,7 +1071,7 @@ bb0:
         )
         .unwrap();
         let mut out = Vec::new();
-        check(&m, &mut out);
+        lint_with(&m, &analyze_module_with(&m, None), &mut out);
         assert!(
             out.iter().any(|d| d.code == codes::RANGE_TRAP),
             "x * 0 is provably zero: {out:?}"
@@ -1116,7 +1095,7 @@ bb0:
         )
         .unwrap();
         let mut out = Vec::new();
-        check(&m, &mut out);
+        lint_with(&m, &analyze_module_with(&m, None), &mut out);
         assert!(out.is_empty(), "srem in [-6,6] + 10 is never zero: {out:?}");
     }
 
@@ -1140,7 +1119,7 @@ bb2:
         )
         .unwrap();
         let mut out = Vec::new();
-        check(&m, &mut out);
+        lint_with(&m, &analyze_module_with(&m, None), &mut out);
         let notes: Vec<_> = out
             .iter()
             .filter(|d| d.code == codes::DEAD_BRANCH)
@@ -1164,7 +1143,7 @@ bb0:
             "main",
         );
         let a = render(&m, &mi);
-        let b = render(&m, &analyze_module(&m));
+        let b = render(&m, &analyze_module_with(&m, None));
         assert_eq!(a, b, "renders deterministically");
         assert!(a.contains("fn @main"));
         assert!(a.contains("in [4, 4]"), "{a}");

@@ -564,7 +564,7 @@ fn find_dead_stores(ctx: &Ctx, graph: &Cfg) -> Vec<u32> {
 
 #[cfg(test)]
 mod tests {
-    use crate::alias::analyze_module;
+    use crate::alias::analyze_module_with;
     use posetrl_ir::parser::parse_module;
     use posetrl_ir::Op;
 
@@ -585,7 +585,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let ma = analyze_module(&m);
+        let ma = analyze_module_with(&m, None);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();
@@ -612,7 +612,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let ma = analyze_module(&m);
+        let ma = analyze_module_with(&m, None);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();
@@ -639,7 +639,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let ma = analyze_module(&m);
+        let ma = analyze_module_with(&m, None);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();
@@ -667,7 +667,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let ma = analyze_module(&m);
+        let ma = analyze_module_with(&m, None);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();
@@ -700,7 +700,7 @@ bb2:
 "#,
         )
         .unwrap();
-        let ma = analyze_module(&m);
+        let ma = analyze_module_with(&m, None);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let md = ma.memdep(fid).unwrap();

@@ -29,7 +29,7 @@
 //!
 //! Three consumers sit on top: the alias-aware `dse`/`gvn`/
 //! `early-cse-memssa`/`licm` passes in `posetrl-opt`, the
-//! [`check`] lints (`store-dead`, `alias-uaf`, alias-tightened
+//! [`lint_with`] lints (`store-dead`, `alias-uaf`, alias-tightened
 //! `uninit-load`/`const-write`), and eight static feature dimensions in
 //! [`crate::absint::features`]. Per-function results are memoized in the
 //! [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager)
@@ -813,13 +813,9 @@ pub fn analyze_function(
 /// saturate to ⊤ (mirrors the absint SCC schedule).
 const SCC_ITER_LIMIT: usize = 24;
 
-/// Runs the interprocedural analysis over `m` with the default budgets.
-pub fn analyze_module(m: &Module) -> ModuleAlias {
-    analyze_module_with(m, None)
-}
-
-/// [`analyze_module`], optionally memoizing per-function analyses
-/// through an [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager).
+/// Runs the interprocedural analysis over `m` with the default budgets,
+/// optionally memoizing per-function analyses through an
+/// [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager).
 /// The bottom-up SCC schedule is identical with and without a manager;
 /// only the [`analyze_function`] leaves are content-addressed
 /// (key: function fingerprint + `fid`/budget digest + callee-summary
@@ -1120,11 +1116,6 @@ pub fn lint_with(m: &Module, ma: &ModuleAlias, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Runs the analysis and the lints over `m` in one call.
-pub fn check(m: &Module, out: &mut Vec<Diagnostic>) {
-    lint_with(m, &analyze_module(m), out);
-}
-
 // ---------------------------------------------------------------------------
 // Textual dump (mini-analyze --alias)
 // ---------------------------------------------------------------------------
@@ -1191,7 +1182,7 @@ mod tests {
 
     fn analyzed(text: &str) -> (Module, ModuleAlias) {
         let m = parse_module(text).expect("test module parses");
-        let ma = analyze_module(&m);
+        let ma = analyze_module_with(&m, None);
         (m, ma)
     }
 
@@ -1464,7 +1455,7 @@ bb0:
 "#,
         );
         let a = render(&m, &ma);
-        let b = render(&m, &analyze_module(&m));
+        let b = render(&m, &analyze_module_with(&m, None));
         assert_eq!(a, b, "renders deterministically");
         assert!(a.contains("fn @main"));
         assert!(a.contains("mod: "), "{a}");

@@ -1,8 +1,9 @@
 //! The lint suite: individual analyses over a module.
 //!
 //! Each analysis appends [`Diagnostic`]s to a shared vector; [`run_all`]
-//! drives them over every function body and returns a deterministically
-//! ordered report.
+//! drives them over every function body, adds the absint lints over the
+//! bundle's absint result ([`ModuleAnalyses::absint`]) and returns a
+//! deterministically ordered report.
 
 pub mod callcheck;
 pub mod constmem;
@@ -10,6 +11,7 @@ pub mod deadcode;
 pub mod ssa_def;
 pub mod undef;
 
+use crate::bundle::ModuleAnalyses;
 use crate::diag::Diagnostic;
 use posetrl_ir::analysis::cfg::Cfg;
 use posetrl_ir::analysis::dom::DomTree;
@@ -25,11 +27,6 @@ pub(crate) fn inst_universe(f: &Function) -> usize {
         .unwrap_or(0)
 }
 
-/// Runs every analysis over `m` and returns the combined, ordered report.
-pub fn run_all(m: &Module) -> Vec<Diagnostic> {
-    run_all_with(m, None)
-}
-
 /// One function's local lint bundle (the per-function fixpoint lints, in
 /// the order [`run_all`] has always emitted them).
 fn function_lints(m: &Module, f: &Function) -> Vec<Diagnostic> {
@@ -43,22 +40,19 @@ fn function_lints(m: &Module, f: &Function) -> Vec<Diagnostic> {
     out
 }
 
-/// [`run_all`], optionally memoizing the per-function lint bundles and
-/// absint analyses through an [`IncrementalAnalysisManager`].
+/// Runs every lint over the bundle's module and returns the combined,
+/// ordered report. With a manager on the bundle, the per-function lint
+/// bundles are memoized there.
 ///
-/// The pre-sort emission order is byte-for-byte the non-incremental one
+/// The pre-sort emission order is the same with and without a manager
 /// (callcheck, then each function's bundle in `func_ids` order, then the
 /// absint lints), and [`sort_report`] is stable, so the final report is
-/// identical with and without a manager. Bundles are keyed by
-/// `(function fingerprint, globals fingerprint)` — `constmem` reads
-/// globals by arena id, and lint locations carry arena ids, so the
-/// arena-sensitive fingerprint (not the print hash) is the sound key.
-///
-/// [`IncrementalAnalysisManager`]: crate::incremental::IncrementalAnalysisManager
-pub fn run_all_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-) -> Vec<Diagnostic> {
+/// identical either way. Bundles are keyed by `(function fingerprint,
+/// globals fingerprint)` — `constmem` reads globals by arena id, and
+/// lint locations carry arena ids, so the arena-sensitive fingerprint
+/// (not the print hash) is the sound key.
+pub fn run_all(a: &ModuleAnalyses) -> Vec<Diagnostic> {
+    let (m, mgr) = (a.module(), a.mgr());
     let mut out = Vec::new();
     callcheck::check(m, &mut out);
     let globals_fp = mgr.map(|_| posetrl_ir::globals_fingerprint(m));
@@ -78,7 +72,7 @@ pub fn run_all_with(
             _ => out.append(&mut function_lints(m, f)),
         }
     }
-    crate::absint::check_with(m, mgr, &mut out);
+    crate::absint::lint_with(m, a.absint(), &mut out);
     sort_report(&mut out);
     out
 }

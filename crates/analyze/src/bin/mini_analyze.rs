@@ -37,8 +37,8 @@
 
 use posetrl_analyze::suite::{self, Analysis};
 use posetrl_analyze::{
-    exit_codes, run_all, validate_transform, Diagnostic, SanitizeLevel, Severity, ValidateConfig,
-    Verdict,
+    exit_codes, run_all, validate_transform, Diagnostic, ModuleAnalyses, SanitizeLevel, Severity,
+    ValidateConfig, Verdict,
 };
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::verifier::verify_module;
@@ -142,14 +142,16 @@ fn parse_args() -> Options {
 /// Lints one module; returns the diagnostics at or above the deny level.
 fn lint(name: &str, m: &Module, opts: &Options) -> Vec<Diagnostic> {
     let mut dump = None;
+    let analyses = ModuleAnalyses::new(m, None);
     let diags = match (verify_module(m), opts.analysis) {
         (Ok(()), Some(a)) => {
             let mut out = Vec::new();
-            dump = Some((a.report)(m, &mut out));
+            (a.lint)(&analyses, &mut out);
+            dump = Some((a.render)(&analyses));
             posetrl_analyze::analyses::sort_report(&mut out);
             out
         }
-        (Ok(()), None) => run_all(m),
+        (Ok(()), None) => run_all(&analyses),
         (Err(e), _) => {
             // surface verifier failures through the same reporting path
             vec![Diagnostic::error(

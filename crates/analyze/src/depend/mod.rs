@@ -510,26 +510,10 @@ fn analyze_loop(f: &Function, fid: FuncId, ls: &LoopScev, ma: &ModuleAlias) -> L
 // Module driver
 // ---------------------------------------------------------------------------
 
-/// Runs the analysis over `m` with the default budgets (scev and
-/// alias run internally).
-pub fn analyze_module(m: &Module) -> ModuleDepend {
-    analyze_module_with(m, None)
-}
-
-/// [`analyze_module`], optionally memoizing per-function analyses
-/// through an [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager):
-/// [`analyze_module_full`] with freshly computed (or memo-served) scev
-/// and alias inputs.
-pub fn analyze_module_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-) -> ModuleDepend {
-    let ms = crate::scev::analyze_module_with(m, mgr);
-    let ma = crate::alias::analyze_module_with(m, mgr);
-    analyze_module_full(m, &ms, &ma, mgr)
-}
-
-/// The full driver over precomputed scev and alias results.
+/// The module driver over precomputed scev and alias results,
+/// optionally memoizing per-function analyses through an
+/// [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager);
+/// [`ModuleAnalyses::depend`](crate::ModuleAnalyses::depend) runs it.
 /// Function-local, so no SCC schedule: each function's memo key is its
 /// fingerprint + the `fid`/budget digest + a digest of the scev loop
 /// structure and the alias facts/summary/memdep slices the subscript
@@ -737,13 +721,6 @@ fn lint_loop_carried_uaf(
     }
 }
 
-/// Runs the analysis and the lints over `m` in one call.
-pub fn check(m: &Module, out: &mut Vec<Diagnostic>) {
-    let ms = crate::scev::analyze_module(m);
-    let ma = crate::alias::analyze_module(m);
-    lint_with(m, &ms, &ma, out);
-}
-
 // ---------------------------------------------------------------------------
 // Textual dump (mini-analyze --depend)
 // ---------------------------------------------------------------------------
@@ -813,12 +790,20 @@ pub fn render(m: &Module, md: &ModuleDepend) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModuleAnalyses;
     use posetrl_ir::parser::parse_module;
 
     fn analyzed(text: &str) -> (Module, ModuleDepend) {
         let m = parse_module(text).expect("test module parses");
-        let md = analyze_module(&m);
+        let md = ModuleAnalyses::new(&m, None).depend().clone();
         (m, md)
+    }
+
+    fn lints(m: &Module) -> Vec<Diagnostic> {
+        let a = ModuleAnalyses::new(m, None);
+        let mut out = Vec::new();
+        lint_with(m, a.scev(), a.alias(), &mut out);
+        out
     }
 
     fn main_loop(m: &Module, md: &ModuleDepend) -> LoopDepend {
@@ -1030,8 +1015,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let mut out = Vec::new();
-        check(&m, &mut out);
+        let out = lints(&m);
         assert!(out.iter().any(|d| d.code == codes::OVERLAP_COPY), "{out:?}");
     }
 
@@ -1050,8 +1034,7 @@ bb0:
 "#,
         )
         .unwrap();
-        let mut out = Vec::new();
-        check(&m, &mut out);
+        let out = lints(&m);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -1087,8 +1070,7 @@ bb3:
 "#,
         )
         .unwrap();
-        let mut out = Vec::new();
-        check(&m, &mut out);
+        let out = lints(&m);
         assert!(
             out.iter().any(|d| d.code == codes::LOOP_CARRIED_UAF),
             "{out:?}"
@@ -1124,8 +1106,7 @@ bb3:
 "#,
         )
         .unwrap();
-        let mut out = Vec::new();
-        check(&m, &mut out);
+        let out = lints(&m);
         assert!(
             !out.iter().any(|d| d.code == codes::LOOP_CARRIED_UAF),
             "{out:?}"
@@ -1145,12 +1126,12 @@ bb3:
     #[test]
     fn incremental_path_is_bit_identical_and_memoizes() {
         let m = parse_module(SHIFT2).unwrap();
-        let cold = analyze_module(&m);
+        let cold = ModuleAnalyses::new(&m, None);
         let mgr = crate::incremental::IncrementalAnalysisManager::new();
-        let warm1 = analyze_module_with(&m, Some(&mgr));
-        let warm2 = analyze_module_with(&m, Some(&mgr));
-        assert_eq!(cold, warm1);
-        assert_eq!(warm1, warm2);
+        let warm1 = ModuleAnalyses::new(&m, Some(&mgr));
+        let warm2 = ModuleAnalyses::new(&m, Some(&mgr));
+        assert_eq!(cold.depend(), warm1.depend());
+        assert_eq!(warm1.depend(), warm2.depend());
         let st = mgr.stats();
         assert_eq!(st.depend.misses, 1, "{st:?}");
         assert_eq!(st.depend.hits, 1, "{st:?}");

@@ -11,7 +11,11 @@
 //! The manager is seven public [`Memo`] fields, one per analysis class,
 //! that the analyses call directly (`mgr.absint.get_or_compute(..)`);
 //! adding a class is one field plus one line in
-//! [`IncrementalAnalysisManager::stats`]. The four interprocedural
+//! [`IncrementalAnalysisManager::stats`]. The four chained analyses
+//! are reached through one [`ModuleAnalyses`](crate::ModuleAnalyses) per
+//! module state, which hands its manager to every driver it runs and
+//! runs each at most once. The sanitizer holds no manager: each of its
+//! checks takes one as an argument. The four interprocedural
 //! classes (absint, alias, scev, depend) log the names of the functions
 //! they recompute, which the invalidation tests drain with
 //! [`Memo::drain_log`]. The classes and their keys:

@@ -23,12 +23,15 @@
 //!
 //! The `mini-analyze` binary exposes the suite over `.pir` files and the
 //! generated workload corpora for CI. The lint-producing analyses
-//! (absint, alias, scev, depend) are listed once in [`suite::ANALYSES`],
-//! which the CLI, the golden and sweep harnesses and the census read.
+//! (absint, alias, scev, depend) are chained in one place,
+//! [`ModuleAnalyses`], which computes each of them at most once per
+//! module, and are listed once in [`suite::ANALYSES`], which the CLI, the
+//! golden and sweep harnesses and the census read.
 
 pub mod absint;
 pub mod alias;
 pub mod analyses;
+pub mod bundle;
 pub mod dataflow;
 pub mod depend;
 pub mod diag;
@@ -41,11 +44,12 @@ pub mod scev;
 pub mod suite;
 pub mod validate;
 
-pub use absint::{analyze_module, analyze_module_with, FnSummary, FuncFacts, ModuleAbsint};
+pub use absint::{FnSummary, FuncFacts, ModuleAbsint};
 pub use alias::{
     memdep::MemDep, AliasFnResult, FnAliasSummary, FuncAlias, MemObj, ModuleAlias, PtsSet,
 };
-pub use analyses::{run_all, run_all_with};
+pub use analyses::run_all;
+pub use bundle::ModuleAnalyses;
 pub use dataflow::{solve, BitSet, DataflowAnalysis, Direction, Fixpoint, JoinSemiLattice};
 pub use depend::{DepKind, DependFnResult, Dependence, LoopDepend, ModuleDepend};
 pub use diag::{codes, Diagnostic, Severity};

@@ -96,25 +96,10 @@ impl ModuleProfile {
     }
 }
 
-/// Runs scalar evolution (which embeds this module's heuristics) over
-/// `m` and collects the per-function profiles.
-pub fn analyze_module(m: &Module) -> ModuleProfile {
-    of_scev(&crate::scev::analyze_module(m))
-}
-
-/// [`analyze_module`], optionally memoizing the underlying scev/profile
-/// function analyses through an
-/// [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager) —
-/// repeated estimates over an unchanged module become memo hits instead
-/// of full recomputes.
-pub fn analyze_module_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-) -> ModuleProfile {
-    of_scev(&crate::scev::analyze_module_with(m, mgr))
-}
-
-/// Extracts the [`ModuleProfile`] view from a scalar-evolution result.
+/// Extracts the [`ModuleProfile`] view from a scalar-evolution result,
+/// which embeds this module's heuristics:
+/// `of_scev(ModuleAnalyses::new(m, mgr).scev())` profiles `m`, and with
+/// a manager, repeated estimates over an unchanged module are memo hits.
 pub fn of_scev(sc: &crate::scev::ModuleScev) -> ModuleProfile {
     ModuleProfile {
         funcs: sc
@@ -331,6 +316,10 @@ mod tests {
     use super::*;
     use posetrl_ir::parser::parse_module;
 
+    fn profile_of(m: &Module) -> ModuleProfile {
+        of_scev(crate::ModuleAnalyses::new(m, None).scev())
+    }
+
     const LOOPY: &str = r#"
 module "t"
 fn @main() -> i64 internal {
@@ -351,7 +340,7 @@ bb3:
     #[test]
     fn loop_body_is_hotter_than_exit() {
         let m = parse_module(LOOPY).unwrap();
-        let mp = analyze_module(&m);
+        let mp = profile_of(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let ids: Vec<_> = f.block_ids().collect();
@@ -367,7 +356,7 @@ bb3:
     #[test]
     fn profile_is_deterministic() {
         let m = parse_module(LOOPY).unwrap();
-        assert_eq!(analyze_module(&m), analyze_module(&m));
+        assert_eq!(profile_of(&m), profile_of(&m));
     }
 
     #[test]
@@ -387,7 +376,7 @@ bb2:
 "#,
         )
         .unwrap();
-        let mp = analyze_module(&m);
+        let mp = profile_of(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let ids: Vec<_> = f.block_ids().collect();
@@ -421,7 +410,7 @@ bb2:
 "#,
         )
         .unwrap();
-        let mp = analyze_module(&m);
+        let mp = profile_of(&m);
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let ids: Vec<_> = f.block_ids().collect();

@@ -30,7 +30,8 @@
 //! deadline (30 s), emitting whatever repro it has at that point; every
 //! differential run gets 2 000 000 units of interpreter fuel.
 
-use crate::analyses::{run_all_with, sort_report};
+use crate::analyses::{run_all, sort_report};
+use crate::bundle::ModuleAnalyses;
 use crate::diag::{codes, Diagnostic, Severity};
 use crate::incremental::IncrementalAnalysisManager;
 use crate::validate::{validate_transform_with, ValidateConfig};
@@ -248,10 +249,6 @@ pub struct Sanitizer {
     validate_proved: AtomicU64,
     validate_refuted: AtomicU64,
     validate_inconclusive: AtomicU64,
-    // Optional per-function memo store: set once at wiring time, shared
-    // with the evaluation cache / environments so every lint + validate
-    // pass reuses untouched-function results (bit-identical contract).
-    incremental: parking_lot::Mutex<Option<std::sync::Arc<IncrementalAnalysisManager>>>,
 }
 
 impl Sanitizer {
@@ -275,17 +272,6 @@ impl Sanitizer {
         self.level != SanitizeLevel::Off
     }
 
-    /// Attaches (or detaches) the incremental analysis manager every
-    /// subsequent lint / validate pass memoizes through.
-    pub fn set_incremental(&self, mgr: Option<std::sync::Arc<IncrementalAnalysisManager>>) {
-        *self.incremental.lock() = mgr;
-    }
-
-    /// The attached incremental manager, if any.
-    pub fn incremental(&self) -> Option<std::sync::Arc<IncrementalAnalysisManager>> {
-        self.incremental.lock().clone()
-    }
-
     /// Snapshot of the cumulative counters.
     pub fn stats(&self) -> SanitizerStats {
         SanitizerStats {
@@ -302,13 +288,18 @@ impl Sanitizer {
     }
 
     /// Runs verification plus the full lint suite over `m` and returns the
-    /// ordered report. Returns an empty report at level `off`.
-    pub fn check_module(&self, m: &Module) -> Vec<Diagnostic> {
+    /// ordered report. Returns an empty report at level `off`. `mgr`,
+    /// when given, memoizes the lint bundles and analyses.
+    pub fn check_module(
+        &self,
+        m: &Module,
+        mgr: Option<&IncrementalAnalysisManager>,
+    ) -> Vec<Diagnostic> {
         if !self.enabled() {
             return Vec::new();
         }
         self.module_checks.fetch_add(1, Ordering::Relaxed);
-        let diags = lint_module(m, self.incremental().as_deref());
+        let diags = lint_module(m, mgr);
         let noisy = diags
             .iter()
             .filter(|d| d.severity >= Severity::Warning)
@@ -320,7 +311,9 @@ impl Sanitizer {
     /// Checks one transform: `pre` is the module before the pass, `post`
     /// after it. `reapply` re-runs the pass on a reduced module during
     /// delta reduction; passing `None` skips reduction (the full module is
-    /// used as the repro).
+    /// used as the repro). `mgr`, when given, memoizes the lints, the
+    /// analyses and the validate obligations; every result is
+    /// bit-identical without it.
     ///
     /// Only diagnostics *absent before the transform* are reported, so
     /// pre-existing corpus findings never indict a pass.
@@ -330,6 +323,7 @@ impl Sanitizer {
         pre: &Module,
         post: &Module,
         reapply: Option<Reapply<'_>>,
+        mgr: Option<&IncrementalAnalysisManager>,
     ) -> TransformVerdict {
         let mut verdict = TransformVerdict {
             pass: pass.to_string(),
@@ -340,14 +334,10 @@ impl Sanitizer {
             return verdict;
         }
         self.checks.fetch_add(1, Ordering::Relaxed);
-        let mgr = self.incremental();
 
         // -- layer 1: verifier + lints, differenced against `pre` -----------
-        let pre_keys: HashSet<String> = lint_module(pre, mgr.as_deref())
-            .iter()
-            .map(diag_key)
-            .collect();
-        let post_diags = lint_module(post, mgr.as_deref());
+        let pre_keys: HashSet<String> = lint_module(pre, mgr).iter().map(diag_key).collect();
+        let post_diags = lint_module(post, mgr);
         let mut fresh: Vec<Diagnostic> = post_diags
             .into_iter()
             .filter(|d| d.severity >= Severity::Warning && !pre_keys.contains(&diag_key(d)))
@@ -366,7 +356,7 @@ impl Sanitizer {
         // anything inconclusive escalates to the dynamic fallback below
         let mut run_diff = self.level == SanitizeLevel::Full;
         if self.level == SanitizeLevel::Validate {
-            let mv = validate_transform_with(pre, post, &self.validate_cfg, mgr.as_deref());
+            let mv = validate_transform_with(pre, post, &self.validate_cfg, mgr);
             self.validate_proved
                 .fetch_add(mv.proved() as u64, Ordering::Relaxed);
             self.validate_refuted
@@ -439,7 +429,7 @@ pub fn expect_verified(m: &Module, context: &str) {
 /// Verifier + lint suite as one diagnostic list.
 fn lint_module(m: &Module, mgr: Option<&IncrementalAnalysisManager>) -> Vec<Diagnostic> {
     match verify_module(m) {
-        Ok(()) => run_all_with(m, mgr),
+        Ok(()) => run_all(&ModuleAnalyses::new(m, mgr)),
         // a structurally broken module makes the dataflow analyses
         // meaningless; report only the verifier finding
         Err(e) => vec![Diagnostic {
@@ -694,7 +684,7 @@ mod tests {
         let san = Sanitizer::new(SanitizeLevel::Off);
         let m = good_module();
         let bad = miscompiled_module();
-        let v = san.check_transform("p", &m, &bad, None);
+        let v = san.check_transform("p", &m, &bad, None, None);
         assert!(!v.is_fatal());
         assert_eq!(san.stats().checks, 0);
     }
@@ -703,7 +693,7 @@ mod tests {
     fn identity_transform_is_clean_at_full() {
         let san = Sanitizer::new(SanitizeLevel::Full);
         let m = good_module();
-        let v = san.check_transform("noop", &m, &m.clone(), None);
+        let v = san.check_transform("noop", &m, &m.clone(), None, None);
         assert!(!v.is_fatal(), "{}", v.render());
         let st = san.stats();
         assert_eq!(st.checks, 1);
@@ -716,7 +706,7 @@ mod tests {
         let san = Sanitizer::new(SanitizeLevel::Full);
         let m = good_module();
         let bad = miscompiled_module();
-        let v = san.check_transform("evil", &m, &bad, None);
+        let v = san.check_transform("evil", &m, &bad, None, None);
         assert!(v.is_fatal());
         let mc = v.miscompile.expect("miscompile detected");
         assert_eq!(mc.entry, "main");
@@ -732,7 +722,7 @@ mod tests {
         let san = Sanitizer::new(SanitizeLevel::Verify);
         let m = good_module();
         let bad = miscompiled_module();
-        let v = san.check_transform("evil", &m, &bad, None);
+        let v = san.check_transform("evil", &m, &bad, None, None);
         // both modules verify and lint clean, and no execution happens
         assert!(!v.is_fatal(), "{}", v.render());
         assert_eq!(san.stats().diff_execs, 0);
@@ -748,7 +738,7 @@ mod tests {
         let f = bad.func_mut(fid).unwrap();
         let ret = f.terminator(f.entry).unwrap();
         f.remove_inst(ret);
-        let v = san.check_transform("breaker", &m, &bad, None);
+        let v = san.check_transform("breaker", &m, &bad, None, None);
         assert!(v.is_fatal(), "{}", v.render());
         assert!(v.diagnostics.iter().any(|d| d.code == codes::VERIFY));
         assert_eq!(san.stats().verify_failures, 1);
@@ -783,7 +773,7 @@ mod tests {
         );
         m.add_function(f);
         let san = Sanitizer::new(SanitizeLevel::Verify);
-        let v = san.check_transform("noop", &m, &m.clone(), None);
+        let v = san.check_transform("noop", &m, &m.clone(), None, None);
         assert!(!v.is_fatal(), "{}", v.render());
         assert!(v.diagnostics.is_empty(), "{:?}", v.diagnostics);
     }
@@ -810,7 +800,7 @@ mod tests {
         };
         let san = Sanitizer::new(SanitizeLevel::Full);
         let post = evil(&m).unwrap();
-        let v = san.check_transform("evil", &m, &post, Some(&evil));
+        let v = san.check_transform("evil", &m, &post, Some(&evil), None);
         let mc = v.miscompile.expect("detected");
         // helpers reduced away; the add feeding the original ret is dead
         // after the rewrite and may or may not be removable, but function
@@ -865,7 +855,7 @@ mod tests {
     fn validate_level_proves_identity_without_executing() {
         let san = Sanitizer::new(SanitizeLevel::Validate);
         let m = good_module();
-        let v = san.check_transform("noop", &m, &m.clone(), None);
+        let v = san.check_transform("noop", &m, &m.clone(), None, None);
         assert!(!v.is_fatal(), "{}", v.render());
         let st = san.stats();
         assert_eq!(st.validate_proved, 1);
@@ -880,7 +870,7 @@ mod tests {
         let san = Sanitizer::new(SanitizeLevel::Validate);
         let m = good_module();
         let bad = miscompiled_module();
-        let v = san.check_transform("evil", &m, &bad, None);
+        let v = san.check_transform("evil", &m, &bad, None, None);
         assert!(v.is_fatal());
         let mc = v.miscompile.expect("refutation becomes a miscompile");
         assert_eq!(mc.entry, "main");

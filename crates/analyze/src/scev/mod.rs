@@ -30,7 +30,7 @@
 //! `ne`-bound congruence (the step's power-of-two factor does not
 //! divide `bound − init` modulo `2^width`) is *provably infinite*; a
 //! step walking away from the bound can only exit by wrapping first
-//! (`iv_wraps`). Both feed [`check`] lints: `infinite-loop` (also for
+//! (`iv_wraps`). Both feed [`lint_with`] lints: `infinite-loop` (also for
 //! loops with no exit edge at all) and `iv-overflow`.
 //!
 //! Each function's result also embeds the static block-frequency
@@ -689,34 +689,12 @@ pub fn analyze_function(
 // Module driver
 // ---------------------------------------------------------------------------
 
-/// Runs the analysis over `m` with the default budgets (absint runs
-/// internally for the range refinement and dead-branch facts).
-pub fn analyze_module(m: &Module) -> ModuleScev {
-    analyze_module_cfg(m, &ScevConfig::default(), None)
-}
-
-/// [`analyze_module`], optionally memoizing per-function analyses
-/// through an [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager).
-pub fn analyze_module_with(
-    m: &Module,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-) -> ModuleScev {
-    analyze_module_cfg(m, &ScevConfig::default(), mgr)
-}
-
-/// [`analyze_module_cfg_absint`] with a freshly computed (or
-/// memo-served) absint result.
-pub fn analyze_module_cfg(
-    m: &Module,
-    cfg: &ScevConfig,
-    mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
-) -> ModuleScev {
-    let mi = crate::absint::analyze_module_with(m, mgr);
-    analyze_module_cfg_absint(m, &mi, cfg, mgr)
-}
-
-/// The full driver over precomputed absint results. Function-local, so
-/// no SCC schedule: each function's memo key is its fingerprint + the
+/// The module driver over precomputed absint results (the range
+/// refinement and dead-branch facts), optionally memoizing per-function
+/// analyses through an
+/// [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager);
+/// [`ModuleAnalyses::scev`](crate::ModuleAnalyses::scev) runs it at the
+/// default budgets. Function-local, so no SCC schedule: each function's memo key is its fingerprint + the
 /// `fid`/config digest + a digest of the absint facts/summary and
 /// callee no-return bits it reads — a callee edit that changes any of
 /// those reaches this class content-wise, exactly like the alias
@@ -822,11 +800,6 @@ pub fn lint_with(m: &Module, ms: &ModuleScev, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Runs the analysis and the lints over `m` in one call.
-pub fn check(m: &Module, out: &mut Vec<Diagnostic>) {
-    lint_with(m, &analyze_module(m), out);
-}
-
 // ---------------------------------------------------------------------------
 // Textual dump (mini-analyze --scev)
 // ---------------------------------------------------------------------------
@@ -887,7 +860,7 @@ mod tests {
 
     fn analyzed(text: &str) -> (Module, ModuleScev) {
         let m = parse_module(text).expect("test module parses");
-        let ms = analyze_module(&m);
+        let ms = crate::ModuleAnalyses::new(&m, None).scev().clone();
         (m, ms)
     }
 
@@ -1189,7 +1162,8 @@ bb4:
     fn trip_above_budget_is_unknown() {
         let cfg = ScevConfig { trip_budget: 8 };
         let m = parse_module(COUNTED).unwrap();
-        let ms = analyze_module_cfg(&m, &cfg, None);
+        let mi = crate::absint::analyze_module_with(&m, None);
+        let ms = analyze_module_cfg_absint(&m, &mi, &cfg, None);
         let l = main_loop(&m, &ms);
         assert_eq!(l.trip, TripCount::Unknown, "budget 8 < trip 10: {l:?}");
         assert!(!l.provably_infinite && !l.iv_wraps);
@@ -1230,9 +1204,9 @@ bb3:
 
     #[test]
     fn clean_corpus_examples_stay_clean() {
-        let m = parse_module(COUNTED).unwrap();
+        let (m, ms) = analyzed(COUNTED);
         let mut diags = Vec::new();
-        check(&m, &mut diags);
+        lint_with(&m, &ms, &mut diags);
         assert!(diags.is_empty(), "clean loop flagged: {diags:?}");
     }
 }

@@ -3,16 +3,18 @@
 //! absint, alias, scev and depend each produce lints, render a stable
 //! textual dump, feed a (possibly empty) set of consumer passes and
 //! report a handful of corpus-level numbers. [`ANALYSES`] records those
-//! facts once, and every harness reads them from here: the golden corpus
+//! facts once. A row's `lint`, `render` and `facts` read one
+//! [`ModuleAnalyses`], so a harness that lints, dumps and counts a module
+//! computes each analysis once. Every harness reads the rows from here: the golden corpus
 //! harness (`tests/golden/mod.rs`), the nightly validator sweep
 //! (`tests/analysis_sweep.rs`), the corpus census (`repro <name>stats`),
 //! the `mini-analyze --<name>` dump mode and the CI matrix. Adding a
 //! fifth analysis means adding a row here, a golden directory
 //! `tests/analyze/<name>/` and a `tests/<name>_golden.rs` entry point.
 
+use crate::bundle::ModuleAnalyses;
 use crate::diag::Diagnostic;
 use crate::{absint, alias, depend, scev};
-use posetrl_ir::Module;
 use std::collections::BTreeMap;
 
 /// One lint-producing analysis and everything its harnesses need.
@@ -21,11 +23,10 @@ pub struct Analysis {
     /// directory `tests/analyze/<name>/`, the sweep artifact
     /// `results/<name>_sweep.json` and the `repro <name>stats` census.
     pub name: &'static str,
-    /// Runs the analysis and appends its lints.
-    pub check: fn(&Module, &mut Vec<Diagnostic>),
-    /// Runs the analysis once, appends its lints and returns its stable
-    /// textual dump.
-    pub report: fn(&Module, &mut Vec<Diagnostic>) -> String,
+    /// Appends the analysis's lints.
+    pub lint: fn(&ModuleAnalyses, &mut Vec<Diagnostic>),
+    /// The analysis's stable textual dump.
+    pub render: fn(&ModuleAnalyses) -> String,
     /// Passes whose rewrites trust this analysis's facts. The nightly
     /// sweep covers exactly the analyses with at least one.
     pub consumers: &'static [&'static str],
@@ -35,7 +36,7 @@ pub struct Analysis {
     /// The pipelines the sweep applies each consumer behind (raw first).
     pub sweep_prefixes: [&'static [&'static str]; 3],
     /// Records the analysis-specific corpus numbers of one module.
-    pub facts: fn(&Module, &mut Facts),
+    pub facts: fn(&ModuleAnalyses, &mut Facts),
 }
 
 /// Promotes induction variables out of memory and gives every loop a
@@ -55,12 +56,8 @@ const LOOP_PREFIXES: [&[&str]; 3] = [
 pub const ANALYSES: [Analysis; 4] = [
     Analysis {
         name: "absint",
-        check: absint::check,
-        report: |m, out| {
-            let mi = absint::analyze_module(m);
-            absint::lint_with(m, &mi, out);
-            absint::render(m, &mi)
-        },
+        lint: |a, out| absint::lint_with(a.module(), a.absint(), out),
+        render: |a| absint::render(a.module(), a.absint()),
         // no pass trusts absint's facts directly: absint feeds lints,
         // static feature dims 0-31 and scev, whose consumers the scev
         // sweep validates
@@ -71,12 +68,8 @@ pub const ANALYSES: [Analysis; 4] = [
     },
     Analysis {
         name: "alias",
-        check: alias::check,
-        report: |m, out| {
-            let ma = alias::analyze_module(m);
-            alias::lint_with(m, &ma, out);
-            alias::render(m, &ma)
-        },
+        lint: |a, out| alias::lint_with(a.module(), a.alias(), out),
+        render: |a| alias::render(a.module(), a.alias()),
         consumers: &["dse", "gvn", "early-cse-memssa", "licm"],
         canonicalize: &[],
         sweep_prefixes: SCALAR_PREFIXES,
@@ -84,12 +77,8 @@ pub const ANALYSES: [Analysis; 4] = [
     },
     Analysis {
         name: "scev",
-        check: scev::check,
-        report: |m, out| {
-            let ms = scev::analyze_module(m);
-            scev::lint_with(m, &ms, out);
-            scev::render(m, &ms)
-        },
+        lint: |a, out| scev::lint_with(a.module(), a.scev(), out),
+        render: |a| scev::render(a.module(), a.scev()),
         consumers: &[
             "indvars",
             "loop-unroll",
@@ -102,13 +91,8 @@ pub const ANALYSES: [Analysis; 4] = [
     },
     Analysis {
         name: "depend",
-        check: depend::check,
-        report: |m, out| {
-            let ms = scev::analyze_module(m);
-            let ma = alias::analyze_module(m);
-            depend::lint_with(m, &ms, &ma, out);
-            depend::render(m, &depend::analyze_module_full(m, &ms, &ma, None))
-        },
+        lint: |a, out| depend::lint_with(a.module(), a.scev(), a.alias(), out),
+        render: |a| depend::render(a.module(), a.depend()),
         // no pass trusts dependence verdicts: depend feeds lints, the
         // census and static feature dims 48-55 only
         consumers: &[],
@@ -199,14 +183,14 @@ impl Facts {
 }
 
 /// The static feature vector's per-dimension means.
-fn absint_facts(m: &Module, facts: &mut Facts) {
-    facts.sample_vec("feature_means", &absint::features::module_features(m));
+fn absint_facts(a: &ModuleAnalyses, facts: &mut Facts) {
+    facts.sample_vec("feature_means", &absint::features::features(a));
 }
 
 /// Mod/ref summary shape and memory-dependence metrics per defined
 /// function.
-fn alias_facts(m: &Module, facts: &mut Facts) {
-    let ma = alias::analyze_module(m);
+fn alias_facts(a: &ModuleAnalyses, facts: &mut Facts) {
+    let (m, ma) = (a.module(), a.alias());
     for fid in m.func_ids() {
         if m.func(fid).is_none_or(|f| f.is_decl) {
             continue;
@@ -223,9 +207,8 @@ fn alias_facts(m: &Module, facts: &mut Facts) {
 
 /// Trip-count classes, loop flags, recurrences and the static profile's
 /// hot-block ratio.
-fn scev_facts(m: &Module, facts: &mut Facts) {
-    let ms = scev::analyze_module(m);
-    for fr in ms.funcs.values() {
+fn scev_facts(a: &ModuleAnalyses, facts: &mut Facts) {
+    for fr in a.scev().funcs.values() {
         facts.sample("mean_hot_ratio", fr.profile.hot_ratio);
         for l in &fr.loops {
             facts.count("loops", 1);
@@ -246,9 +229,8 @@ fn scev_facts(m: &Module, facts: &mut Facts) {
 
 /// Dependence edges by kind, proved distances and per-loop legality
 /// verdicts.
-fn depend_facts(m: &Module, facts: &mut Facts) {
-    let md = depend::analyze_module(m);
-    for fr in md.funcs.values() {
+fn depend_facts(a: &ModuleAnalyses, facts: &mut Facts) {
+    for fr in a.depend().funcs.values() {
         for l in &fr.loops {
             facts.count("loops", 1);
             facts.count("disambiguated_pairs", l.disambiguated as usize);

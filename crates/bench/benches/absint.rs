@@ -4,14 +4,14 @@
 //! `EnvConfig::static_features` is on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use posetrl_analyze::{absint, IncrementalAnalysisManager};
+use posetrl_analyze::{absint, IncrementalAnalysisManager, ModuleAnalyses};
 use posetrl_bench::bench_module;
 use std::hint::black_box;
 
 fn bench_analyze_module(c: &mut Criterion) {
     let m = bench_module(5);
     c.bench_function("absint_analyze_module", |b| {
-        b.iter(|| black_box(absint::analyze_module(black_box(&m))))
+        b.iter(|| black_box(absint::analyze_module_with(black_box(&m), None)))
     });
 }
 
@@ -22,7 +22,7 @@ fn bench_analyze_module(c: &mut Criterion) {
 fn bench_analyze_module_incremental(c: &mut Criterion) {
     let m = bench_module(5);
     let mgr = IncrementalAnalysisManager::new();
-    let full = absint::analyze_module(&m);
+    let full = absint::analyze_module_with(&m, None);
     let warm = absint::analyze_module_with(&m, Some(&mgr));
     assert_eq!(full, warm, "incremental analysis must be bit-identical");
     c.bench_function("absint_analyze_module_incremental_warm", |b| {
@@ -34,13 +34,18 @@ fn bench_analyze_module_incremental(c: &mut Criterion) {
 fn bench_features(c: &mut Criterion) {
     let m = bench_module(6);
     c.bench_function("absint_module_features", |b| {
-        b.iter(|| black_box(absint::features::module_features(black_box(&m))))
+        b.iter(|| {
+            black_box(absint::features::features(&ModuleAnalyses::new(
+                black_box(&m),
+                None,
+            )))
+        })
     });
 }
 
 fn bench_lints(c: &mut Criterion) {
     let m = bench_module(7);
-    let mi = absint::analyze_module(&m);
+    let mi = absint::analyze_module_with(&m, None);
     c.bench_function("absint_lint_with", |b| {
         b.iter(|| {
             let mut out = Vec::new();

@@ -4,14 +4,17 @@
 //! per-function leaf is a memo hit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use posetrl_analyze::{depend, IncrementalAnalysisManager};
+use posetrl_analyze::{depend, IncrementalAnalysisManager, ModuleAnalyses};
 use posetrl_bench::bench_module;
 use std::hint::black_box;
 
 fn bench_analyze_module(c: &mut Criterion) {
     let m = bench_module(5);
     c.bench_function("depend_analyze_module", |b| {
-        b.iter(|| black_box(depend::analyze_module(black_box(&m))))
+        b.iter(|| {
+            let a = ModuleAnalyses::new(black_box(&m), None);
+            black_box(a.depend().funcs.len())
+        })
     });
 }
 
@@ -22,11 +25,18 @@ fn bench_analyze_module(c: &mut Criterion) {
 fn bench_analyze_module_incremental(c: &mut Criterion) {
     let m = bench_module(5);
     let mgr = IncrementalAnalysisManager::new();
-    let full = depend::analyze_module(&m);
-    let warm = depend::analyze_module_with(&m, Some(&mgr));
-    assert_eq!(full, warm, "incremental analysis must be bit-identical");
+    let full = ModuleAnalyses::new(&m, None);
+    let warm = ModuleAnalyses::new(&m, Some(&mgr));
+    assert_eq!(
+        full.depend(),
+        warm.depend(),
+        "incremental analysis must be bit-identical"
+    );
     c.bench_function("depend_analyze_module_incremental_warm", |b| {
-        b.iter(|| black_box(depend::analyze_module_with(black_box(&m), Some(&mgr))))
+        b.iter(|| {
+            let a = ModuleAnalyses::new(black_box(&m), Some(&mgr));
+            black_box(a.depend().funcs.len())
+        })
     });
     eprintln!("[depend] {:?}", mgr.stats());
 }
@@ -35,8 +45,9 @@ fn bench_lints(c: &mut Criterion) {
     let m = bench_module(7);
     c.bench_function("depend_check", |b| {
         b.iter(|| {
+            let a = ModuleAnalyses::new(black_box(&m), None);
             let mut out = Vec::new();
-            depend::check(black_box(&m), &mut out);
+            depend::lint_with(&m, a.scev(), a.alias(), &mut out);
             black_box(out.len())
         })
     });

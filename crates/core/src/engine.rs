@@ -232,9 +232,9 @@ impl RoundCtx<'_> {
             None => PhaseEnv::new(env_cfg, self.actions.clone()),
         };
         // replace the env's private incremental manager with the run-wide
-        // shared one (or clear it when `config.incremental` is off), then
-        // do the same for the sanitizer so its counters and memo tables
-        // are shared by every worker
+        // shared one (or clear it when `config.incremental` is off); the
+        // sanitizer checks this env's steps through that manager, and is
+        // itself shared so its counters aggregate over every worker
         env.set_incremental(self.incremental.map(Arc::clone));
         env.set_sanitizer(self.sanitizer.map(Arc::clone));
         env
@@ -378,7 +378,7 @@ pub fn train_parallel(
             .iter()
             .map(|b| {
                 let mut m = b.module.clone();
-                run_oz(&pm, &mut m, sanitizer.as_deref());
+                run_oz(&pm, &mut m, sanitizer.as_deref(), incremental.as_deref());
                 object_size(&m, tcfg.env.arch).total
             })
             .collect()

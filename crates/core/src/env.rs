@@ -27,7 +27,7 @@
 
 use crate::actions::ActionSet;
 use crate::cache::{memoized_step, sequence_signature, EvalCache, MeasureMemo};
-use posetrl_analyze::{IncrementalAnalysisManager, SanitizeLevel, Sanitizer};
+use posetrl_analyze::{IncrementalAnalysisManager, ModuleAnalyses, SanitizeLevel, Sanitizer};
 use posetrl_embed::{EmbedConfig, Embedder};
 use posetrl_ir::{function_fingerprint, module_hash, Module, ModuleHash, Op};
 use posetrl_opt::manager::{PassManager, PipelineError};
@@ -156,10 +156,6 @@ impl PhaseEnv {
             .then(|| Arc::new(Sanitizer::new(config.sanitize)));
         let embedder = Embedder::new(EmbedConfig::default());
         let embed_cfg_digest = posetrl_ir::digest_str(&format!("{:?}", embedder.config()));
-        let incr = Arc::new(IncrementalAnalysisManager::new());
-        if let Some(san) = &sanitizer {
-            san.set_incremental(Some(Arc::clone(&incr)));
-        }
         PhaseEnv {
             config,
             actions,
@@ -169,7 +165,7 @@ impl PhaseEnv {
             module: None,
             cache: None,
             sanitizer,
-            incr: Some(incr),
+            incr: Some(Arc::new(IncrementalAnalysisManager::new())),
             embed_cfg_digest,
             cur_hash: None,
             base_size: 0.0,
@@ -202,12 +198,9 @@ impl PhaseEnv {
     }
 
     /// Attaches (or detaches, with `None`) an incremental analysis
-    /// manager, rewiring the sanitizer to share it. Tests use this to
-    /// compare incremental mode on and off.
+    /// manager; the sanitizer's checks of this env's steps memoize through
+    /// it too. Tests use this to compare incremental mode on and off.
     pub fn set_incremental(&mut self, mgr: Option<Arc<IncrementalAnalysisManager>>) {
-        if let Some(san) = &self.sanitizer {
-            san.set_incremental(mgr.clone());
-        }
         self.incr = mgr;
     }
 
@@ -221,9 +214,6 @@ impl PhaseEnv {
     /// environments aggregates its counters (the engine does this so every
     /// worker reports into the same [`posetrl_analyze::SanitizerStats`]).
     pub fn set_sanitizer(&mut self, sanitizer: Option<Arc<Sanitizer>>) {
-        if let (Some(san), Some(mgr)) = (&sanitizer, &self.incr) {
-            san.set_incremental(Some(Arc::clone(mgr)));
-        }
         self.sanitizer = sanitizer;
     }
 
@@ -320,7 +310,8 @@ impl PhaseEnv {
         // when it was first computed
         let run = |m: &mut Module| {
             let passes = &self.actions.sequences[a];
-            run_passes(&self.pm, m, passes, self.sanitizer.as_deref());
+            let (san, mgr) = (self.sanitizer.as_deref(), self.incr.as_deref());
+            run_passes(&self.pm, m, passes, san, mgr);
         };
         match &self.cache {
             Some(cache) => {
@@ -380,7 +371,8 @@ impl PhaseEnv {
     /// Encodes a module into the RL state per the configured encoding.
     ///
     /// With an incremental manager attached, per-function embeddings and
-    /// absint summaries are memoized by function content, so an episode
+    /// the static features' analyses are memoized by function content
+    /// (through one [`ModuleAnalyses`]), so an episode
     /// step embeds each untouched function exactly once. The memoized
     /// helpers replicate the from-scratch float-op order exactly, so the
     /// state is bit-identical either way.
@@ -395,22 +387,8 @@ impl PhaseEnv {
             (StateEncoding::Histogram, _) => histogram_state(m, self.embedder.dim()),
         };
         if self.config.static_features {
-            let feats = match &self.incr {
-                Some(mgr) => {
-                    let mi = posetrl_analyze::analyze_module_with(m, Some(mgr));
-                    let ma = posetrl_analyze::alias::analyze_module_with(m, Some(mgr));
-                    let sc = posetrl_analyze::scev::analyze_module_cfg_absint(
-                        m,
-                        &mi,
-                        &posetrl_analyze::ScevConfig::default(),
-                        Some(mgr),
-                    );
-                    let md = posetrl_analyze::depend::analyze_module_full(m, &sc, &ma, Some(mgr));
-                    posetrl_analyze::absint::features::features_full(m, &mi, &ma, &sc, &md)
-                }
-                None => posetrl_analyze::absint::features::module_features(m),
-            };
-            v.extend_from_slice(&feats);
+            let analyses = ModuleAnalyses::new(m, self.incr.as_deref());
+            v.extend_from_slice(&posetrl_analyze::absint::features::features(&analyses));
         }
         v
     }
@@ -427,7 +405,8 @@ impl PhaseEnv {
 }
 
 /// Runs `passes` on `m` in place, sanitized when a sanitizer is attached
-/// (at `Full`, every pass that changed the module is also diff-executed).
+/// (at `Full`, every pass that changed the module is also diff-executed);
+/// `mgr`, when given, memoizes the sanitizer's lints and validation.
 /// A failure panics with the rendered diagnosis, after printing a
 /// miscompile's delta-reduced JSON repro on stderr. Actions and the `-Oz`
 /// baseline both run through here.
@@ -436,9 +415,10 @@ pub(crate) fn run_passes(
     m: &mut Module,
     passes: &[impl AsRef<str>],
     san: Option<&Sanitizer>,
+    mgr: Option<&IncrementalAnalysisManager>,
 ) {
     let run = match san {
-        Some(san) => pm.run_pipeline_sanitized(m, passes, san),
+        Some(san) => pm.run_pipeline_sanitized(m, passes, san, mgr),
         None => pm.run_pipeline(m, passes).map_err(PipelineError::from),
     };
     if let Err(e) = run {
@@ -601,7 +581,8 @@ mod tests {
         let s0 = env.reset(program(4));
         assert_eq!(s0.len(), env.state_dim());
         // the appended tail is the module's feature vector
-        let feats = posetrl_analyze::absint::features::module_features(env.module());
+        let feats =
+            posetrl_analyze::absint::features::features(&ModuleAnalyses::new(env.module(), None));
         assert_eq!(&s0[base.state_dim()..], &feats[..]);
 
         // cached and uncached encodings agree bit-for-bit, and the

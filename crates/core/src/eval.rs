@@ -11,7 +11,7 @@ use crate::cache::{memoized_step, sequence_signature, EvalCache};
 use crate::env::run_passes;
 use crate::trainer::TrainedModel;
 use parking_lot::Mutex;
-use posetrl_analyze::Sanitizer;
+use posetrl_analyze::{IncrementalAnalysisManager, Sanitizer};
 use posetrl_ir::interp::{InterpConfig, Interpreter};
 use posetrl_ir::module_hash;
 use posetrl_opt::manager::PassManager;
@@ -156,9 +156,15 @@ pub(crate) fn resolved_workers(workers: usize) -> usize {
     }
 }
 
-/// Applies the `-Oz` pipeline, sanitized when a sanitizer is attached.
-pub(crate) fn run_oz(pm: &PassManager, m: &mut posetrl_ir::Module, san: Option<&Sanitizer>) {
-    run_passes(pm, m, &pipelines::oz(), san);
+/// Applies the `-Oz` pipeline, sanitized when a sanitizer is attached
+/// (memoizing its checks through `mgr`, when given).
+pub(crate) fn run_oz(
+    pm: &PassManager,
+    m: &mut posetrl_ir::Module,
+    san: Option<&Sanitizer>,
+    mgr: Option<&IncrementalAnalysisManager>,
+) {
+    run_passes(pm, m, &pipelines::oz(), san, mgr);
 }
 
 /// Evaluates one benchmark: `-Oz` baseline vs the model's greedy sequence.
@@ -174,7 +180,8 @@ fn evaluate_one(
     let cache = opts.cache.as_ref();
     // -Oz baseline, memoized as a step when a cache is attached
     let mut oz_module = b.module.clone();
-    let run = |m: &mut posetrl_ir::Module| run_oz(pm, m, opts.sanitizer.as_deref());
+    let mgr = cache.and_then(|c| c.incremental()).map(Arc::as_ref);
+    let run = |m: &mut posetrl_ir::Module| run_oz(pm, m, opts.sanitizer.as_deref(), mgr);
     match cache {
         Some(cache) => {
             let pre = module_hash(&b.module);

@@ -10,7 +10,7 @@ use crate::actions::ActionSet;
 use crate::env::EnvConfig;
 use crate::eval::{self, evaluate_suite, BenchmarkResult, SuiteStats};
 use crate::trainer::{train, TrainedModel, TrainerConfig};
-use posetrl_analyze::{SanitizeLevel, SanitizerStats};
+use posetrl_analyze::{ModuleAnalyses, SanitizeLevel, SanitizerStats};
 use posetrl_odg::graph::OzDependenceGraph;
 use posetrl_opt::manager::PassManager;
 use posetrl_opt::pipelines;
@@ -359,16 +359,16 @@ fn weighted_improvement(model: &TrainedModel, benches: &[Benchmark]) -> f64 {
     let mut sum = 0.0f64;
     for b in benches {
         let mut oz = b.module.clone();
-        eval::run_oz(&pm, &mut oz, None);
+        eval::run_oz(&pm, &mut oz, None, None);
         let (mm, _) = model.optimize_with(b.module.clone(), None, None);
         let ozc = posetrl_target::runtime::static_cycles(
             &oz,
-            &posetrl_analyze::profile::analyze_module_with(&oz, Some(&mgr)),
+            &posetrl_analyze::profile::of_scev(ModuleAnalyses::new(&oz, Some(&mgr)).scev()),
             arch,
         );
         let mc = posetrl_target::runtime::static_cycles(
             &mm,
-            &posetrl_analyze::profile::analyze_module_with(&mm, Some(&mgr)),
+            &posetrl_analyze::profile::of_scev(ModuleAnalyses::new(&mm, Some(&mgr)).scev()),
             arch,
         );
         sum += if ozc > 0.0 {
@@ -638,12 +638,13 @@ pub fn analysis_stats(a: &'static posetrl_analyze::suite::Analysis) -> AnalysisS
         let mut canon = b.module.clone();
         pm.run_pipeline(&mut canon, a.canonicalize)
             .expect("canonicalizing passes are registered");
+        let analyses = ModuleAnalyses::new(&canon, None);
         let mut diags = Vec::new();
-        (a.check)(&canon, &mut diags);
+        (a.lint)(&analyses, &mut diags);
         for d in &diags {
             *lints.entry(d.code.to_string()).or_default() += 1;
         }
-        (a.facts)(&canon, &mut facts);
+        (a.facts)(&analyses, &mut facts);
         for (pass, changed) in consumers.iter_mut() {
             let mut m = canon.clone();
             if pm

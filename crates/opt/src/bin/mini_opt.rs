@@ -105,7 +105,7 @@ fn main() {
 
     let before_insts = module.num_insts();
     let san = Sanitizer::new(level);
-    match pm.run_pipeline_sanitized(&mut module, &passes, &san) {
+    match pm.run_pipeline_sanitized(&mut module, &passes, &san, None) {
         Ok(_) => {}
         Err(PipelineError::UnknownPass(e)) => unreachable!("checked before reading input: {e}"),
         Err(PipelineError::Sanitizer { pass, verdict }) => {

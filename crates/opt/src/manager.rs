@@ -2,7 +2,7 @@
 
 use crate::passes;
 use crate::Pass;
-use posetrl_analyze::{Sanitizer, TransformVerdict};
+use posetrl_analyze::{IncrementalAnalysisManager, Sanitizer, TransformVerdict};
 use posetrl_ir::{module_hash, Module};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -135,7 +135,8 @@ impl PassManager {
     /// mis-report), the sanitizer re-verifies, re-lints and — at level
     /// `full` — differentially executes the module. Non-fatal findings
     /// are counted in the sanitizer's statistics. Returns `true` if any
-    /// pass changed the module.
+    /// pass changed the module. `mgr`, when given, memoizes the
+    /// sanitizer's lints, analyses and validate obligations.
     ///
     /// With a disabled sanitizer this is [`run_pipeline`].
     ///
@@ -153,6 +154,7 @@ impl PassManager {
         module: &mut Module,
         names: &[S],
         san: &Sanitizer,
+        mgr: Option<&IncrementalAnalysisManager>,
     ) -> Result<bool, PipelineError> {
         if !san.enabled() {
             return Ok(self.run_pipeline(module, names)?);
@@ -172,7 +174,7 @@ impl PassManager {
                 let mut out = input.clone();
                 self.run_pass(&mut out, name).ok().map(|_| out)
             };
-            let verdict = san.check_transform(name, &pre, module, Some(&reapply));
+            let verdict = san.check_transform(name, &pre, module, Some(&reapply), mgr);
             if verdict.is_fatal() {
                 return Err(PipelineError::Sanitizer {
                     pass: name.to_string(),
@@ -281,13 +283,13 @@ bb0:
         .unwrap();
         let san = Sanitizer::new(SanitizeLevel::Full);
         let changed = pm
-            .run_pipeline_sanitized(&mut m, &["mem2reg", "barrier"], &san)
+            .run_pipeline_sanitized(&mut m, &["mem2reg", "barrier"], &san, None)
             .expect("clean pipeline sanitizes");
         assert!(changed, "mem2reg rewrites the allocas");
         assert_eq!(san.stats().checks, 1, "the no-op barrier is not checked");
         assert_eq!(san.stats().miscompiles, 0);
         let changed = pm
-            .run_pipeline_sanitized(&mut m, &["barrier"], &san)
+            .run_pipeline_sanitized(&mut m, &["barrier"], &san, None)
             .unwrap();
         assert!(!changed, "barrier is a no-op");
         assert_eq!(san.stats().checks, 1);
@@ -310,7 +312,7 @@ bb0:
         let mut a = parse_module(text).unwrap();
         let mut b = parse_module(text).unwrap();
         let san = Sanitizer::new(SanitizeLevel::Off);
-        pm.run_pipeline_sanitized(&mut a, &["mem2reg", "instcombine"], &san)
+        pm.run_pipeline_sanitized(&mut a, &["mem2reg", "instcombine"], &san, None)
             .unwrap();
         pm.run_pipeline(&mut b, &["mem2reg", "instcombine"])
             .unwrap();
@@ -326,7 +328,7 @@ bb0:
         let mut m = Module::new("m");
         let san = Sanitizer::new(SanitizeLevel::Verify);
         let err = pm
-            .run_pipeline_sanitized(&mut m, &["-frobnicate"], &san)
+            .run_pipeline_sanitized(&mut m, &["-frobnicate"], &san, None)
             .unwrap_err();
         assert!(matches!(err, PipelineError::UnknownPass(_)), "{err}");
     }

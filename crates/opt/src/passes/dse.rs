@@ -34,7 +34,7 @@ impl Pass for Dse {
 
     fn run(&self, module: &mut Module) -> bool {
         let snapshot = module.clone();
-        let ma = posetrl_analyze::alias::analyze_module(&snapshot);
+        let ma = posetrl_analyze::alias::analyze_module_with(&snapshot, None);
         let mut changed = false;
         module.for_each_body(|fid, f| {
             changed |= dse_forward_stores(&snapshot, fid, f, &ma);

@@ -80,7 +80,7 @@ impl Pass for EarlyCse {
         let snapshot = module.clone();
         let memory = self.memory;
         // the memssa variant sharpens invalidation with points-to facts
-        let ma = memory.then(|| posetrl_analyze::alias::analyze_module(&snapshot));
+        let ma = memory.then(|| posetrl_analyze::alias::analyze_module_with(&snapshot, None));
         let mut changed = false;
         module.for_each_body(|fid, f| {
             changed |= cse_function(&snapshot, f, memory, ma.as_ref().map(|a| (a, fid)));

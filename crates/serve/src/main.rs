@@ -318,10 +318,11 @@ fn check(path: &str, expect: Option<usize>, digest: bool) -> i32 {
                 // deny at warning and above (the `--deny warnings` bar);
                 // note-severity lints are optimization opportunities and
                 // expected to survive in optimized output
-                let denied = posetrl_analyze::run_all(&module)
-                    .into_iter()
-                    .filter(|d| d.severity >= posetrl_analyze::Severity::Warning)
-                    .count();
+                let denied =
+                    posetrl_analyze::run_all(&posetrl_analyze::ModuleAnalyses::new(&module, None))
+                        .into_iter()
+                        .filter(|d| d.severity >= posetrl_analyze::Severity::Warning)
+                        .count();
                 if denied > 0 {
                     eprintln!(
                         "{path}:{}: response module has {denied} lint finding(s) at warning+",

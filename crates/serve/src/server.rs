@@ -176,8 +176,10 @@ impl Server {
     }
 
     /// [`Server::new`] with an explicit incremental analysis manager
-    /// (`None` turns incremental mode off). Tests use this to compare
-    /// modes.
+    /// shared by every rollout. `None` does not turn memoization off:
+    /// each rollout's environment then builds a private manager, as
+    /// every `PhaseEnv::new` does, and drops it with the rollout. Tests
+    /// use this to compare the two; the responses are bit-identical.
     pub fn with_incremental(
         model: Arc<TrainedModel>,
         cfg: ServeConfig,

@@ -102,8 +102,10 @@ fn responses_are_bit_identical_for_any_worker_count() {
     type Fingerprint = (String, String, Vec<u64>, u64, u64);
     let mut baseline: Option<Vec<Fingerprint>> = None;
     for workers in [1usize, 2, 8] {
-        // incremental per-function analysis must be exactly as invisible
-        // as the worker count
+        // where the per-function analyses are memoized must be exactly as
+        // invisible as the worker count: `true` shares one manager across
+        // every rollout, `false` gives each rollout's environment a
+        // private one (`PhaseEnv::new` always builds one)
         for incremental in [false, true] {
             let mgr = incremental
                 .then(posetrl_analyze::IncrementalAnalysisManager::new)

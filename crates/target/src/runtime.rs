@@ -207,12 +207,16 @@ mod tests {
             assert_eq!(flat_short, flat_long, "flat costing is trip-blind");
             let w_short = static_cycles(
                 &short,
-                &posetrl_analyze::profile::analyze_module(&short),
+                &posetrl_analyze::profile::of_scev(
+                    posetrl_analyze::ModuleAnalyses::new(&short, None).scev(),
+                ),
                 arch,
             );
             let w_long = static_cycles(
                 &long,
-                &posetrl_analyze::profile::analyze_module(&long),
+                &posetrl_analyze::profile::of_scev(
+                    posetrl_analyze::ModuleAnalyses::new(&long, None).scev(),
+                ),
                 arch,
             );
             assert!(

@@ -19,7 +19,7 @@
 //! finite) and its rate is reported.
 
 use posetrl_analyze::suite::{self, Facts};
-use posetrl_analyze::{validate_transform, ValidateConfig};
+use posetrl_analyze::{validate_transform, ModuleAnalyses, ValidateConfig};
 use posetrl_ir::printer::print_module;
 use posetrl_opt::manager::PassManager;
 use std::collections::BTreeMap;
@@ -46,12 +46,13 @@ fn sweep(name: &str) {
 
     for b in posetrl_workloads::training_suite().iter().step_by(step) {
         modules += 1;
+        let analyses = ModuleAnalyses::new(&b.module, None);
         let mut diags = Vec::new();
-        (a.check)(&b.module, &mut diags);
+        (a.lint)(&analyses, &mut diags);
         for d in &diags {
             *lint_counts.entry(d.code.to_string()).or_default() += 1;
         }
-        (a.facts)(&b.module, &mut facts);
+        (a.facts)(&analyses, &mut facts);
 
         for &pass in a.consumers {
             for prefix in a.sweep_prefixes {

@@ -43,7 +43,7 @@ fn golden_corpus_produces_exactly_the_expected_codes() {
         let expected = expected_codes(&text);
         let m = parse_module(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
         let got: BTreeSet<String> = san
-            .check_module(&m)
+            .check_module(&m, None)
             .iter()
             .map(|d| d.code.to_string())
             .collect();
@@ -172,7 +172,7 @@ fn mutation_injection_is_always_detected() {
             }
 
             seeded += 1;
-            let verdict = san.check_transform("lying-pass", &b.module, &corrupt, None);
+            let verdict = san.check_transform("lying-pass", &b.module, &corrupt, None, None);
             if verdict.is_fatal() {
                 let mc = verdict
                     .miscompile
@@ -225,7 +225,7 @@ fn full_corpus_action_sweep_is_diagnostic_clean() {
         for b in posetrl_workloads::training_suite() {
             for a in 0..space.len() {
                 let mut m = b.module.clone();
-                pm.run_pipeline_sanitized(&mut m, space.subsequence(a), &san)
+                pm.run_pipeline_sanitized(&mut m, space.subsequence(a), &san, None)
                     .unwrap_or_else(|e| {
                         panic!(
                             "[{}] action {a} on '{}' is not diagnostic-clean:\n{e}",

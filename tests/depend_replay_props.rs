@@ -17,7 +17,7 @@
 //! An unproved dependence (`distance: None`) constrains nothing — the
 //! analysis is allowed to be conservative, never unsound.
 
-use posetrl_analyze::depend;
+use posetrl_analyze::ModuleAnalyses;
 use posetrl_ir::interp::{Interpreter, RtVal};
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::Op;
@@ -96,7 +96,8 @@ proptest! {
         let out = Interpreter::new(&m).run("main", &[]);
         prop_assert_eq!(out.result.clone().unwrap(), Some(RtVal::Int(0)));
 
-        let md = depend::analyze_module(&m);
+        let analyses = ModuleAnalyses::new(&m, None);
+        let md = analyses.depend();
         let fid = m.func_by_name("main").unwrap();
         let f = m.func(fid).unwrap();
         let r = md.func(fid).unwrap();

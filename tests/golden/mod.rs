@@ -13,7 +13,7 @@
 //! generated training workloads.
 
 use posetrl_analyze::suite::{self, Analysis};
-use posetrl_analyze::Severity;
+use posetrl_analyze::{ModuleAnalyses, Severity};
 use posetrl_ir::parser::parse_module;
 use posetrl_suite::test_support::{corpus_files, expected_codes};
 use std::collections::BTreeSet;
@@ -43,8 +43,10 @@ pub fn corpus_produces_exactly_the_expected_codes(name: &str) {
         let m = parse_module(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
         posetrl_ir::verifier::verify_module(&m).unwrap_or_else(|e| panic!("{name} verifies: {e}"));
 
+        let analyses = ModuleAnalyses::new(&m, None);
         let mut diags = Vec::new();
-        let dump = (a.report)(&m, &mut diags);
+        (a.lint)(&analyses, &mut diags);
+        let dump = (a.render)(&analyses);
         let got: BTreeSet<String> = diags.iter().map(|d| d.code.to_string()).collect();
         assert_eq!(
             got, expected,
@@ -60,7 +62,7 @@ pub fn corpus_produces_exactly_the_expected_codes(name: &str) {
         );
         assert_eq!(
             dump,
-            (a.report)(&m, &mut Vec::new()),
+            (a.render)(&ModuleAnalyses::new(&m, None)),
             "{name}: two runs render identically"
         );
     }
@@ -81,7 +83,7 @@ pub fn lints_are_clean_on_the_example_modules(name: &str) {
         let text = std::fs::read_to_string(&path).unwrap();
         let m = parse_module(&text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
         let mut diags = Vec::new();
-        (a.check)(&m, &mut diags);
+        (a.lint)(&ModuleAnalyses::new(&m, None), &mut diags);
         let findings: Vec<_> = diags
             .iter()
             .filter(|d| d.severity >= Severity::Warning)
@@ -100,8 +102,8 @@ pub fn dump_is_stable_on_the_training_suite(name: &str) {
     // generated workload, not just the hand-written corpus
     for b in posetrl_workloads::suites::training_suite().iter().take(8) {
         assert_eq!(
-            (a.report)(&b.module, &mut Vec::new()),
-            (a.report)(&b.module, &mut Vec::new()),
+            (a.render)(&ModuleAnalyses::new(&b.module, None)),
+            (a.render)(&ModuleAnalyses::new(&b.module, None)),
             "{}: nondeterministic {} dump",
             b.name,
             a.name

@@ -24,8 +24,8 @@
 //! faster than from-scratch on the warm episode encode path).
 
 use posetrl_analyze::{
-    absint, alias, depend, run_all, run_all_with, scev, validate_transform,
-    validate_transform_with, IncrementalAnalysisManager, ValidateConfig,
+    absint, alias, run_all, validate_transform, validate_transform_with, Diagnostic,
+    IncrementalAnalysisManager, ModuleAnalyses, ValidateConfig,
 };
 use posetrl_embed::Embedder;
 use posetrl_ir::parser::parse_module;
@@ -100,30 +100,40 @@ fn assert_equivalent(
         bits(&inc_embed),
         "{ctx}: embedding bits diverged"
     );
-    let full_lints = run_all(m);
-    let inc_lints = run_all_with(m, Some(mgr));
-    assert_eq!(full_lints, inc_lints, "{ctx}: lint report diverged");
-    let full_abs = absint::analyze_module(m);
-    let inc_abs = absint::analyze_module_with(m, Some(mgr));
-    assert_eq!(full_abs, inc_abs, "{ctx}: absint summaries diverged");
-    let full_alias = alias::analyze_module(m);
-    let inc_alias = alias::analyze_module_with(m, Some(mgr));
+    let full = ModuleAnalyses::new(m, None);
+    let inc = ModuleAnalyses::new(m, Some(mgr));
+    assert_eq!(run_all(&full), run_all(&inc), "{ctx}: lint report diverged");
     assert_eq!(
-        full_alias, inc_alias,
+        full.absint(),
+        inc.absint(),
+        "{ctx}: absint summaries diverged"
+    );
+    assert_eq!(
+        full.alias(),
+        inc.alias(),
         "{ctx}: alias summaries / points-to facts / memdep diverged"
     );
-    let full_scev = scev::analyze_module(m);
-    let inc_scev = scev::analyze_module_with(m, Some(mgr));
     assert_eq!(
-        full_scev, inc_scev,
+        full.scev(),
+        inc.scev(),
         "{ctx}: scev loops / trips / profile frequencies diverged"
     );
-    let full_dep = depend::analyze_module(m);
-    let inc_dep = depend::analyze_module_with(m, Some(mgr));
     assert_eq!(
-        full_dep, inc_dep,
+        full.depend(),
+        inc.depend(),
         "{ctx}: dependence edges / distances / verdicts diverged"
     );
+}
+
+/// The lint report and every analysis of `m`, through one bundle.
+fn analyze_all<'m>(
+    m: &'m Module,
+    mgr: Option<&'m IncrementalAnalysisManager>,
+) -> (Vec<Diagnostic>, ModuleAnalyses<'m>) {
+    let a = ModuleAnalyses::new(m, mgr);
+    let lints = run_all(&a);
+    a.depend(); // and with it absint, alias and scev
+    (lints, a)
 }
 
 /// Cases per property (see tests/pass_properties.rs).
@@ -199,23 +209,23 @@ fn warm_replay_recomputes_nothing() {
             Vec::<String>::new(),
             "{name}: warm alias replay must be all memo hits"
         );
-        let _ = scev::analyze_module_with(m, Some(&mgr));
+        let _ = ModuleAnalyses::new(m, Some(&mgr)).scev();
         assert!(
             !mgr.scev.drain_log().is_empty(),
             "{name}: cold scev run must analyze something"
         );
-        let _ = scev::analyze_module_with(m, Some(&mgr));
+        let _ = ModuleAnalyses::new(m, Some(&mgr)).scev();
         assert_eq!(
             mgr.scev.drain_log(),
             Vec::<String>::new(),
             "{name}: warm scev replay must be all memo hits"
         );
-        let _ = depend::analyze_module_with(m, Some(&mgr));
+        let _ = ModuleAnalyses::new(m, Some(&mgr)).depend();
         assert!(
             !mgr.depend.drain_log().is_empty(),
             "{name}: cold depend run must analyze something"
         );
-        let _ = depend::analyze_module_with(m, Some(&mgr));
+        let _ = ModuleAnalyses::new(m, Some(&mgr)).depend();
         assert_eq!(
             mgr.depend.drain_log(),
             Vec::<String>::new(),
@@ -239,7 +249,7 @@ fn recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     let inc = absint::analyze_module_with(&m1, Some(&mgr));
     assert_eq!(
         inc,
-        absint::analyze_module(&m1),
+        absint::analyze_module_with(&m1, None),
         "incremental re-analysis diverged from scratch"
     );
     if base == text {
@@ -349,7 +359,7 @@ fn alias_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     let inc = alias::analyze_module_with(&m1, Some(&mgr));
     assert_eq!(
         inc,
-        alias::analyze_module(&m1),
+        alias::analyze_module_with(&m1, None),
         "incremental alias re-analysis diverged from scratch"
     );
     if base == text {
@@ -412,13 +422,13 @@ fn alias_local_edit_with_stable_summary_stays_local() {
 fn scev_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     let m0 = parse_module(base).expect("base fixture parses");
     let mgr = IncrementalAnalysisManager::new();
-    let cold = scev::analyze_module_with(&m0, Some(&mgr));
+    let cold = ModuleAnalyses::new(&m0, Some(&mgr)).scev().clone();
     mgr.scev.drain_log();
     let m1 = parse_module(text).expect("edited fixture parses");
-    let inc = scev::analyze_module_with(&m1, Some(&mgr));
+    let inc = ModuleAnalyses::new(&m1, Some(&mgr)).scev().clone();
     assert_eq!(
         inc,
-        scev::analyze_module(&m1),
+        ModuleAnalyses::new(&m1, None).scev().clone(),
         "incremental scev re-analysis diverged from scratch"
     );
     if base == text {
@@ -478,13 +488,13 @@ fn scev_local_edit_with_stable_absint_inputs_stays_local() {
 fn depend_recomputed_after_edit(base: &str, text: &str) -> BTreeSet<String> {
     let m0 = parse_module(base).expect("base fixture parses");
     let mgr = IncrementalAnalysisManager::new();
-    let cold = depend::analyze_module_with(&m0, Some(&mgr));
+    let cold = ModuleAnalyses::new(&m0, Some(&mgr)).depend().clone();
     mgr.depend.drain_log();
     let m1 = parse_module(text).expect("edited fixture parses");
-    let inc = depend::analyze_module_with(&m1, Some(&mgr));
+    let inc = ModuleAnalyses::new(&m1, Some(&mgr)).depend().clone();
     assert_eq!(
         inc,
-        depend::analyze_module(&m1),
+        ModuleAnalyses::new(&m1, None).depend().clone(),
         "incremental depend re-analysis diverged from scratch"
     );
     if base == text {
@@ -549,7 +559,7 @@ fn @aloof() -> i64 internal {\nbb0:\n  ret 7:i64\n}\n";
 
     // and the verdicts really did move
     let m = parse_module(&edited).unwrap();
-    let md = depend::analyze_module(&m);
+    let md = ModuleAnalyses::new(&m, None).depend().clone();
     let fid = m.func_by_name("shift").unwrap();
     let l = &md.func(fid).unwrap().loops[0];
     assert!(!l.parallel_safe, "the shifted store carries a dependence");
@@ -631,16 +641,7 @@ fn incremental_sweep_archives_mismatches_and_speedup() {
         let t0 = std::time::Instant::now();
         let full: Vec<_> = trajectory
             .iter()
-            .map(|m| {
-                (
-                    embedder.embed_module(m),
-                    run_all(m),
-                    absint::analyze_module(m),
-                    alias::analyze_module(m),
-                    scev::analyze_module(m),
-                    depend::analyze_module(m),
-                )
-            })
+            .map(|m| (embedder.embed_module(m), analyze_all(m, None)))
             .collect();
         full_ns += t0.elapsed().as_nanos();
 
@@ -650,11 +651,7 @@ fn incremental_sweep_archives_mismatches_and_speedup() {
         let mgr = IncrementalAnalysisManager::new();
         for m in &trajectory {
             let _ = embed_incremental(&embedder, cfg_digest, m, &mgr);
-            let _ = run_all_with(m, Some(&mgr));
-            let _ = absint::analyze_module_with(m, Some(&mgr));
-            let _ = alias::analyze_module_with(m, Some(&mgr));
-            let _ = scev::analyze_module_with(m, Some(&mgr));
-            let _ = depend::analyze_module_with(m, Some(&mgr));
+            let _ = analyze_all(m, Some(&mgr));
         }
         let t1 = std::time::Instant::now();
         let inc: Vec<_> = trajectory
@@ -662,20 +659,18 @@ fn incremental_sweep_archives_mismatches_and_speedup() {
             .map(|m| {
                 (
                     embed_incremental(&embedder, cfg_digest, m, &mgr),
-                    run_all_with(m, Some(&mgr)),
-                    absint::analyze_module_with(m, Some(&mgr)),
-                    alias::analyze_module_with(m, Some(&mgr)),
-                    scev::analyze_module_with(m, Some(&mgr)),
-                    depend::analyze_module_with(m, Some(&mgr)),
+                    analyze_all(m, Some(&mgr)),
                 )
             })
             .collect();
         inc_ns += t1.elapsed().as_nanos();
 
-        for (i, ((fe, fl, fa, fal, fs, fd), (ie, il, ia, ial, is, id))) in
-            full.iter().zip(&inc).enumerate()
-        {
-            if bits(fe) != bits(ie) || fl != il || fa != ia || fal != ial || fs != is || fd != id {
+        for (i, ((fe, (fl, fa)), (ie, (il, ia)))) in full.iter().zip(&inc).enumerate() {
+            let same = fa.absint() == ia.absint()
+                && fa.alias() == ia.alias()
+                && fa.scev() == ia.scev()
+                && fa.depend() == ia.depend();
+            if bits(fe) != bits(ie) || fl != il || !same {
                 mismatches += 1;
                 mismatch_names.push(format!("{} state {i}", b.name));
             }

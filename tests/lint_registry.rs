@@ -16,9 +16,12 @@
 //! "Environment variables" list, and every name CI sets must be read by
 //! some source or test harness.
 //!
-//! One design rule rides along: every content-addressed cache goes
+//! Two design rules ride along: every content-addressed cache goes
 //! through `posetrl_analyze::Memo`, so no library source outside
-//! `crates/analyze/src/memo.rs` names the `BoundedMap` under it.
+//! `crates/analyze/src/memo.rs` names the `BoundedMap` under it; and the
+//! module analyses are chained only by `posetrl_analyze::ModuleAnalyses`,
+//! so the per-analysis shortcuts that chained them by hand stay deleted
+//! and no other code calls the scev or depend module drivers.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -257,5 +260,133 @@ fn only_the_memo_module_names_the_bounded_map() {
         naming,
         [PathBuf::from("crates/analyze/src/memo.rs")],
         "caches must use posetrl_analyze::Memo rather than wrap their own BoundedMap"
+    );
+}
+
+/// Every `.rs` file under `crates/`, `src/`, `tests/` and `examples/`
+/// (build outputs excluded), with its repo-relative path; this file,
+/// which names the deleted entry points, is left out.
+fn all_rust_sources() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut out = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        for p in rust_sources(&root.join(dir)) {
+            let rel = p.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+            if rel.split('/').any(|c| c == "target") || rel == "tests/lint_registry.rs" {
+                continue;
+            }
+            out.push((rel, std::fs::read_to_string(&p).unwrap()));
+        }
+    }
+    assert!(out.len() >= 100, "source tree looks truncated");
+    out
+}
+
+/// Occurrences of `pat` in `text` that are whole identifiers or paths
+/// (no identifier character on either side) and end with `suffix`.
+fn token_count(text: &str, pat: &str, suffix: &str) -> usize {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    text.match_indices(pat)
+        .filter(|(i, _)| {
+            let rest = &text[i + pat.len()..];
+            !ident(text[..*i].chars().next_back())
+                && !ident(rest.chars().next())
+                && rest.starts_with(suffix)
+        })
+        .count()
+}
+
+#[test]
+fn only_module_analyses_chains_the_analyses() {
+    // the shortcuts that chained absint -> alias -> scev -> depend by hand
+    let deleted: [(&str, &[&str]); 7] = [
+        ("absint/mod.rs", &["analyze_module", "check", "check_with"]),
+        ("alias/mod.rs", &["analyze_module", "check"]),
+        (
+            "scev/mod.rs",
+            &[
+                "analyze_module",
+                "analyze_module_with",
+                "analyze_module_cfg",
+                "check",
+            ],
+        ),
+        (
+            "depend/mod.rs",
+            &["analyze_module", "analyze_module_with", "check"],
+        ),
+        ("profile/mod.rs", &["analyze_module", "analyze_module_with"]),
+        (
+            "absint/features.rs",
+            &["module_features", "features_with", "features_with_alias"],
+        ),
+        ("analyses/mod.rs", &["run_all_with"]),
+    ];
+    let mut found = Vec::new();
+    for (rel, text) in all_rust_sources() {
+        for (file, names) in deleted {
+            let module = file.trim_end_matches(".rs").trim_end_matches("/mod");
+            let module = module.rsplit('/').next().unwrap();
+            for name in names {
+                let defined = rel == format!("crates/analyze/src/{file}")
+                    && (token_count(&text, &format!("fn {name}"), "(") > 0
+                        || token_count(&text, &format!("fn {name}"), "<") > 0);
+                let path = token_count(&text, &format!("{module}::{name}"), "");
+                // features and the lint suite's twin were called unqualified
+                let bare = [
+                    "module_features",
+                    "features_with",
+                    "features_with_alias",
+                    "run_all_with",
+                ]
+                .contains(name)
+                    && token_count(&text, name, "(") > 0;
+                if defined || path > 0 || bare {
+                    found.push(format!("{rel}: {module}::{name}"));
+                }
+            }
+        }
+        // the manager-less lint suite and the crate-root absint shortcut
+        if token_count(&text, "fn run_all(m: &Module", "") > 0
+            || token_count(&text, "posetrl_analyze::analyze_module", "") > 0
+        {
+            found.push(format!("{rel}: a manager-less shortcut"));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "deleted analysis entry points are back: {found:#?}"
+    );
+
+    // the scev and depend drivers take their upstream results as
+    // arguments; only the bundle supplies them (plus the scev unit test
+    // that lowers the trip budget)
+    let mut callers = BTreeSet::new();
+    for (rel, text) in all_rust_sources() {
+        for driver in ["analyze_module_cfg_absint", "analyze_module_full"] {
+            let calls = token_count(&text, driver, "(");
+            let defs = token_count(&text, &format!("fn {driver}"), "(");
+            if calls > defs {
+                callers.insert((rel.clone(), driver));
+            }
+        }
+    }
+    let expected = BTreeSet::from([
+        (
+            "crates/analyze/src/bundle.rs".to_string(),
+            "analyze_module_cfg_absint",
+        ),
+        (
+            "crates/analyze/src/bundle.rs".to_string(),
+            "analyze_module_full",
+        ),
+        (
+            "crates/analyze/src/scev/mod.rs".to_string(),
+            "analyze_module_cfg_absint",
+        ),
+    ]);
+    assert_eq!(
+        callers, expected,
+        "chain the analyses through ModuleAnalyses"
     );
 }

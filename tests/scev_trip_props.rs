@@ -9,7 +9,8 @@
 //! directions, strides 1..8 and signed inits/bounds on both sides of
 //! zero.
 
-use posetrl_analyze::scev::{self, TripCount};
+use posetrl_analyze::scev::TripCount;
+use posetrl_analyze::ModuleAnalyses;
 use posetrl_ir::interp::{InterpConfig, Interpreter, RtVal};
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::{BinOp, InstId, Op};
@@ -75,7 +76,8 @@ fn observed_iterations(m: &posetrl_ir::Module) -> u64 {
 }
 
 fn scev_trip(m: &posetrl_ir::Module) -> TripCount {
-    let ms = scev::analyze_module(m);
+    let a = ModuleAnalyses::new(m, None);
+    let ms = a.scev();
     let fid = m.func_by_name("main").unwrap();
     let r = ms.func(fid).expect("main analyzed");
     assert_eq!(r.loops.len(), 1, "exactly one loop");
@@ -165,8 +167,10 @@ fn trip_agrees_on_the_training_suite_headers() {
             continue;
         };
         let f = m.func(fid).unwrap();
-        let ms = scev::analyze_module(m);
-        let Some(r) = ms.func(fid) else { continue };
+        let a = ModuleAnalyses::new(m, None);
+        let Some(r) = a.scev().func(fid) else {
+            continue;
+        };
         let exacts: BTreeSet<u32> = r
             .loops
             .iter()
