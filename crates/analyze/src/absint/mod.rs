@@ -28,14 +28,17 @@
 pub mod domain;
 pub mod features;
 
+use crate::callgraph::CallGraph;
 use crate::dataflow::{solve, DataflowAnalysis, Direction, JoinSemiLattice};
 use crate::diag::{codes, Diagnostic};
+use crate::memo::memoized;
 use domain::{
     transfer_bin, transfer_cast, transfer_icmp, AbsVal, IntFacts, Nullness, PtrBase, PtrFacts,
 };
 use posetrl_ir::analysis::cfg::Cfg;
 use posetrl_ir::{BlockId, FuncId, Function, InstId, Module, Op, SourceLoc, Ty, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Per-function argument/return summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,72 +330,8 @@ fn analyze_function(
 }
 
 // ---------------------------------------------------------------------------
-// Call graph, SCCs and the module driver
+// The module driver
 // ---------------------------------------------------------------------------
-
-/// Iterative Tarjan SCC over the call graph; returns SCCs bottom-up
-/// (every SCC precedes its callers).
-pub(crate) fn call_graph_sccs(m: &Module, callees: &HashMap<u32, Vec<u32>>) -> Vec<Vec<u32>> {
-    let nodes: Vec<u32> = m.func_ids().map(|f| f.0).collect();
-    let mut index: HashMap<u32, u32> = HashMap::new();
-    let mut low: HashMap<u32, u32> = HashMap::new();
-    let mut on_stack: HashSet<u32> = HashSet::new();
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next = 0u32;
-    let mut sccs: Vec<Vec<u32>> = Vec::new();
-
-    for &root in &nodes {
-        if index.contains_key(&root) {
-            continue;
-        }
-        // explicit DFS frames: (node, next child position)
-        let mut frames: Vec<(u32, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut ci)) = frames.last_mut() {
-            if *ci == 0 {
-                index.insert(v, next);
-                low.insert(v, next);
-                next += 1;
-                stack.push(v);
-                on_stack.insert(v);
-            }
-            let succs = callees.get(&v).map(|s| s.as_slice()).unwrap_or(&[]);
-            if *ci < succs.len() {
-                let w = succs[*ci];
-                *ci += 1;
-                if !index.contains_key(&w) {
-                    frames.push((w, 0));
-                } else if on_stack.contains(&w) {
-                    let lw = index[&w];
-                    let lv = low.get_mut(&v).unwrap();
-                    *lv = (*lv).min(lw);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(p, _)) = frames.last() {
-                    let lv = low[&v];
-                    let lp = low.get_mut(&p).unwrap();
-                    *lp = (*lp).min(lv);
-                }
-                if low[&v] == index[&v] {
-                    let mut scc = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack.remove(&w);
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort_unstable();
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
-}
-
-/// Upper bound on within-SCC summary iterations before returns widen to ⊤.
-const SCC_ITER_LIMIT: usize = 24;
 
 /// Runs the interprocedural analysis over `m`, optionally memoizing
 /// per-function analyses through an
@@ -408,87 +347,32 @@ pub fn analyze_module_with(
     m: &Module,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleAbsint {
-    // call graph + address-taken set
-    let mut callees: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut address_taken: HashSet<u32> = HashSet::new();
-    let mut call_counts: HashMap<u32, usize> = HashMap::new();
-    for fid in m.func_ids() {
-        let f = m.func(fid).unwrap();
-        if f.is_decl {
-            continue;
-        }
-        let mut cs = Vec::new();
-        for id in f.inst_ids() {
-            let op = f.op(id);
-            if let Op::Call { callee, .. } = op {
-                cs.push(callee.0);
-                *call_counts.entry(callee.0).or_default() += 1;
-            }
-            for v in op.operands() {
-                if let Value::Func(g) = v {
-                    address_taken.insert(g.0);
-                }
-            }
-        }
-        cs.sort_unstable();
-        cs.dedup();
-        callees.insert(fid.0, cs);
-    }
-
+    let cg = CallGraph::new(m);
     let is_root = |fid: FuncId, f: &Function| {
         f.linkage == posetrl_ir::Linkage::External
             || f.name == "main"
-            || address_taken.contains(&fid.0)
-            || call_counts.get(&fid.0).copied().unwrap_or(0) == 0
+            || cg.address_taken.contains(&fid.0)
+            || cg.call_counts.get(&fid.0).copied().unwrap_or(0) == 0
     };
 
     let top_args =
         |f: &Function| -> Vec<AbsVal> { f.params.iter().map(|&t| AbsVal::top_of(t)).collect() };
 
-    let sccs = call_graph_sccs(m, &callees);
-
-    // arena fingerprints feed the memo keys; computed once per driver run
-    let fps: BTreeMap<u32, u128> = if mgr.is_some() {
-        m.func_ids()
-            .map(|fid| {
-                (
-                    fid.0,
-                    posetrl_ir::function_fingerprint(m, m.func(fid).unwrap()),
-                )
-            })
-            .collect()
-    } else {
-        BTreeMap::new()
-    };
     let run_one = |f: &Function,
                    i: u32,
                    args: &[AbsVal],
                    summaries: &BTreeMap<u32, FnSummary>|
      -> (FuncFacts, AbsVal) {
-        let Some(mgr) = mgr else {
-            return analyze_function(f, args, summaries);
+        let key = || {
+            (
+                cg.fingerprint(i),
+                posetrl_ir::digest_str(&format!("{args:?}")),
+                cg.callee_digest(i, summaries, |s| &s.ret),
+            )
         };
-        use std::fmt::Write as _;
-        let mut cal = String::new();
-        for c in callees.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-            match summaries.get(c) {
-                Some(s) => {
-                    let _ = write!(cal, "{c}:{:?};", s.ret);
-                }
-                None => {
-                    let _ = write!(cal, "{c}:N;");
-                }
-            }
-        }
-        let key = (
-            fps[&i],
-            posetrl_ir::digest_str(&format!("{args:?}")),
-            posetrl_ir::digest_str(&cal),
-        );
-        let out = mgr.absint.get_or_compute(&f.name, key, || {
-            std::sync::Arc::new(analyze_function(f, args, summaries))
-        });
-        (out.0.clone(), out.1)
+        Arc::unwrap_or_clone(memoized(mgr.map(|g| &g.absint), &f.name, key, || {
+            Arc::new(analyze_function(f, args, summaries))
+        }))
     };
 
     // argument summaries for the current round; round 1 is all-⊤
@@ -517,50 +401,23 @@ pub fn analyze_module_with(
             }
         }
 
-        for scc in &sccs {
-            let members: Vec<u32> = scc
-                .iter()
-                .copied()
-                .filter(|i| !m.func(FuncId(*i)).map(|f| f.is_decl).unwrap_or(true))
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            // within the SCC, iterate from ⊥ returns to a fixpoint
-            for &i in &members {
-                summaries.insert(
-                    i,
-                    FnSummary {
-                        args: args[&i].clone(),
-                        ret: AbsVal::Bottom,
-                    },
-                );
-            }
-            let mut iter = 0;
-            loop {
-                let mut changed = false;
-                for &i in &members {
-                    let f = m.func(FuncId(i)).unwrap();
-                    let (facts, ret) = run_one(f, i, &args[&i], &summaries);
-                    funcs.insert(i, facts);
-                    let s = summaries.get_mut(&i).unwrap();
-                    changed |= s.ret.join(&ret);
-                }
-                iter += 1;
-                if !changed {
-                    break;
-                }
-                if iter >= SCC_ITER_LIMIT {
-                    for &i in &members {
-                        let f = m.func(FuncId(i)).unwrap();
-                        summaries.get_mut(&i).unwrap().ret = AbsVal::top_of(f.ret);
-                        let (facts, _) = run_one(f, i, &args[&i], &summaries);
-                        funcs.insert(i, facts);
-                    }
-                    break;
-                }
-            }
-        }
+        cg.scc_fixpoint(
+            &mut summaries,
+            |i, _| FnSummary {
+                args: args[&i].clone(),
+                ret: AbsVal::Bottom,
+            },
+            |i, f| FnSummary {
+                args: args[&i].clone(),
+                ret: AbsVal::top_of(f.ret),
+            },
+            |i, f, summaries| {
+                let (facts, ret) = run_one(f, i, &args[&i], summaries);
+                funcs.insert(i, facts);
+                ret
+            },
+            |s, ret| s.ret.join(&ret),
+        );
 
         if round == 1 {
             break;

@@ -38,10 +38,13 @@
 
 pub mod memdep;
 
+use crate::callgraph::CallGraph;
 use crate::diag::{codes, Diagnostic};
+use crate::memo::memoized;
 use memdep::MemDep;
 use posetrl_ir::{FuncId, Function, InstId, Module, Op, SourceLoc, Ty, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Maximum constraint-propagation sweeps per function before every
 /// pointer fact saturates to ⊤.
@@ -809,10 +812,6 @@ pub fn analyze_function(
 // Module driver (bottom-up over call-graph SCCs)
 // ---------------------------------------------------------------------------
 
-/// Upper bound on within-SCC summary iterations before summaries
-/// saturate to ⊤ (mirrors the absint SCC schedule).
-const SCC_ITER_LIMIT: usize = 24;
-
 /// Runs the interprocedural analysis over `m` with the default budgets,
 /// optionally memoizing per-function analyses through an
 /// [`IncrementalAnalysisManager`](crate::incremental::IncrementalAnalysisManager).
@@ -826,71 +825,17 @@ pub fn analyze_module_with(
     m: &Module,
     mgr: Option<&crate::incremental::IncrementalAnalysisManager>,
 ) -> ModuleAlias {
-    // call graph + address-taken set (same construction as absint)
-    let mut callees: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut address_taken: HashSet<u32> = HashSet::new();
-    for fid in m.func_ids() {
-        let f = m.func(fid).unwrap();
-        if f.is_decl {
-            continue;
-        }
-        let mut cs = Vec::new();
-        for id in f.inst_ids() {
-            let op = f.op(id);
-            if let Op::Call { callee, .. } = op {
-                cs.push(callee.0);
-            }
-            for v in op.operands() {
-                if let Value::Func(g) = v {
-                    address_taken.insert(g.0);
-                }
-            }
-        }
-        cs.sort_unstable();
-        cs.dedup();
-        callees.insert(fid.0, cs);
-    }
-
-    let sccs = crate::absint::call_graph_sccs(m, &callees);
-
-    let fps: BTreeMap<u32, u128> = if mgr.is_some() {
-        m.func_ids()
-            .map(|fid| {
-                (
-                    fid.0,
-                    posetrl_ir::function_fingerprint(m, m.func(fid).unwrap()),
-                )
-            })
-            .collect()
-    } else {
-        BTreeMap::new()
-    };
-    let run_one = |f: &Function,
-                   i: u32,
-                   summaries: &BTreeMap<u32, FnAliasSummary>|
-     -> std::sync::Arc<AliasFnResult> {
-        let Some(mgr) = mgr else {
-            return std::sync::Arc::new(analyze_function(i, f, summaries));
+    let cg = CallGraph::new(m);
+    let run_one = |f: &Function, i: u32, summaries: &BTreeMap<u32, FnAliasSummary>| {
+        let key = || {
+            (
+                cg.fingerprint(i),
+                posetrl_ir::digest_str(&format!("{i}|{MAX_ITERS}|{PTS_CAP}")),
+                cg.callee_digest(i, summaries, |s| s),
+            )
         };
-        use std::fmt::Write as _;
-        let mut cal = String::new();
-        for c in callees.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-            match summaries.get(c) {
-                Some(s) => {
-                    let _ = write!(cal, "{c}:{s:?};");
-                }
-                None => {
-                    let _ = write!(cal, "{c}:N;");
-                }
-            }
-        }
-        let key = (
-            fps[&i],
-            posetrl_ir::digest_str(&format!("{i}|{MAX_ITERS}|{PTS_CAP}")),
-            posetrl_ir::digest_str(&cal),
-        );
-        mgr.alias.get_or_compute(&f.name, key, || {
-            std::sync::Arc::new(analyze_function(i, f, summaries))
+        memoized(mgr.map(|g| &g.alias), &f.name, key, || {
+            Arc::new(analyze_function(i, f, summaries))
         })
     };
 
@@ -899,7 +844,7 @@ pub fn analyze_module_with(
     // their effect summaries saturate to ⊤ (the ISSUE's "⊤ for
     // external/address-taken roots"); declarations are ⊤ from the start.
     let shape = |i: u32, mut s: FnAliasSummary| -> FnAliasSummary {
-        if address_taken.contains(&i) {
+        if cg.address_taken.contains(&i) {
             s.mods.set_top();
             s.refs.set_top();
         }
@@ -917,58 +862,30 @@ pub fn analyze_module_with(
         }
     }
 
-    for scc in &sccs {
-        let members: Vec<u32> = scc
-            .iter()
-            .copied()
-            .filter(|i| !m.func(FuncId(*i)).map(|f| f.is_decl).unwrap_or(true))
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        for &i in &members {
-            let f = m.func(FuncId(i)).unwrap();
-            summaries.insert(i, FnAliasSummary::bottom(i, f));
-        }
-        let mut iter = 0;
-        loop {
-            let mut changed = false;
-            for &i in &members {
-                let f = m.func(FuncId(i)).unwrap();
-                let out = run_one(f, i, &summaries);
-                funcs.insert(i, out.facts.clone());
-                memdeps.insert(i, out.memdep.clone());
-                let exported = shape(i, out.summary.clone());
-                if summaries.get(&i) != Some(&exported) {
-                    summaries.insert(i, exported);
-                    changed = true;
-                }
+    cg.scc_fixpoint(
+        &mut summaries,
+        FnAliasSummary::bottom,
+        |i, f| {
+            let mut sat = FnAliasSummary::top_decl(i, f);
+            if f.ret != Ty::Ptr {
+                sat.ret = PtsSet::empty();
+            } else {
+                sat.ret = PtsSet::top();
             }
-            iter += 1;
-            if !changed {
-                break;
-            }
-            if iter >= SCC_ITER_LIMIT {
-                for &i in &members {
-                    let f = m.func(FuncId(i)).unwrap();
-                    let mut sat = FnAliasSummary::top_decl(i, f);
-                    if f.ret != Ty::Ptr {
-                        sat.ret = PtsSet::empty();
-                    } else {
-                        sat.ret = PtsSet::top();
-                    }
-                    summaries.insert(i, sat);
-                }
-                for &i in &members {
-                    let f = m.func(FuncId(i)).unwrap();
-                    let out = run_one(f, i, &summaries);
-                    funcs.insert(i, out.facts.clone());
-                    memdeps.insert(i, out.memdep.clone());
-                }
-                break;
-            }
-        }
-    }
+            sat
+        },
+        |i, f, summaries| {
+            let out = run_one(f, i, summaries);
+            funcs.insert(i, out.facts.clone());
+            memdeps.insert(i, out.memdep.clone());
+            shape(i, out.summary.clone())
+        },
+        |s, exported| {
+            let changed = *s != exported;
+            *s = exported;
+            changed
+        },
+    );
 
     ModuleAlias {
         summaries,

@@ -13,9 +13,12 @@ pub mod undef;
 
 use crate::bundle::ModuleAnalyses;
 use crate::diag::Diagnostic;
+use crate::memo::memoized;
 use posetrl_ir::analysis::cfg::Cfg;
 use posetrl_ir::analysis::dom::DomTree;
 use posetrl_ir::{Function, Module};
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 /// Universe size for instruction-indexed bit sets: one bit per arena slot
 /// up to the highest live instruction id.
@@ -55,22 +58,20 @@ pub fn run_all(a: &ModuleAnalyses) -> Vec<Diagnostic> {
     let (m, mgr) = (a.module(), a.mgr());
     let mut out = Vec::new();
     callcheck::check(m, &mut out);
-    let globals_fp = mgr.map(|_| posetrl_ir::globals_fingerprint(m));
+    let globals_fp = OnceCell::new();
     for fid in m.func_ids() {
         let f = m.func(fid).unwrap();
         if f.is_decl {
             continue;
         }
-        match (mgr, globals_fp) {
-            (Some(mgr), Some(gfp)) => {
-                let key = (posetrl_ir::function_fingerprint(m, f), gfp);
-                let bundle = mgr
-                    .lint
-                    .get_or_compute(&f.name, key, || std::sync::Arc::new(function_lints(m, f)));
-                out.extend(bundle.iter().cloned());
-            }
-            _ => out.append(&mut function_lints(m, f)),
-        }
+        let key = || {
+            let gfp = *globals_fp.get_or_init(|| posetrl_ir::globals_fingerprint(m));
+            (posetrl_ir::function_fingerprint(m, f), gfp)
+        };
+        let bundle = memoized(mgr.map(|g| &g.lint), &f.name, key, || {
+            Arc::new(function_lints(m, f))
+        });
+        out.extend(Arc::unwrap_or_clone(bundle));
     }
     crate::absint::lint_with(m, a.absint(), &mut out);
     sort_report(&mut out);

@@ -48,6 +48,7 @@
 
 use crate::alias::{MemObj, ModuleAlias};
 use crate::diag::{codes, Diagnostic};
+use crate::memo::memoized;
 use crate::scev::{LoopScev, ModuleScev, ScevFnResult};
 use posetrl_ir::{BlockId, FuncId, Function, InstId, Module, Op, SourceLoc, Ty, Value};
 use std::collections::BTreeMap;
@@ -532,38 +533,36 @@ pub fn analyze_module_full(
             continue;
         }
         let sr = ms.func(fid).unwrap_or(&empty);
-        let out: Arc<DependFnResult> = match mgr {
-            None => Arc::new(analyze_function(f, fid, sr, ma)),
-            Some(mgr) => {
-                use std::fmt::Write as _;
-                let mut inp = String::new();
-                let _ = write!(
-                    inp,
-                    "{:?}|{:?}|{:?}|{:?}|",
-                    sr.loops,
-                    ma.facts(fid),
-                    ma.summary(fid),
-                    ma.memdep(fid)
-                );
-                // call_mods/call_refs substitute the CALLEE's mod/ref
-                // summary at each call site — a callee edit can move the
-                // opaque-call verdict without touching this function's
-                // own facts, so every callee summary is part of the key
-                for &id in f.inst_ids().iter() {
-                    if let Op::Call { callee, .. } = f.op(id) {
-                        let _ = write!(inp, "{}:{:?}|", callee.0, ma.summary(*callee));
-                    }
+        let key = || {
+            use std::fmt::Write as _;
+            let mut inp = String::new();
+            let _ = write!(
+                inp,
+                "{:?}|{:?}|{:?}|{:?}|",
+                sr.loops,
+                ma.facts(fid),
+                ma.summary(fid),
+                ma.memdep(fid)
+            );
+            // call_mods/call_refs substitute the CALLEE's mod/ref
+            // summary at each call site — a callee edit can move the
+            // opaque-call verdict without touching this function's
+            // own facts, so every callee summary is part of the key
+            for &id in f.inst_ids().iter() {
+                if let Op::Call { callee, .. } = f.op(id) {
+                    let _ = write!(inp, "{}:{:?}|", callee.0, ma.summary(*callee));
                 }
-                let key = (
-                    posetrl_ir::function_fingerprint(m, f),
-                    posetrl_ir::digest_str(&format!("{}|{}|{}", fid.0, MAX_ACCESSES, MAX_PAIRS)),
-                    posetrl_ir::digest_str(&inp),
-                );
-                mgr.depend
-                    .get_or_compute(&f.name, key, || Arc::new(analyze_function(f, fid, sr, ma)))
             }
+            (
+                posetrl_ir::function_fingerprint(m, f),
+                posetrl_ir::digest_str(&format!("{}|{}|{}", fid.0, MAX_ACCESSES, MAX_PAIRS)),
+                posetrl_ir::digest_str(&inp),
+            )
         };
-        funcs.insert(fid.0, (*out).clone());
+        let out = memoized(mgr.map(|g| &g.depend), &f.name, key, || {
+            Arc::new(analyze_function(f, fid, sr, ma))
+        });
+        funcs.insert(fid.0, Arc::unwrap_or_clone(out));
     }
     ModuleDepend { funcs }
 }

@@ -8,14 +8,17 @@
 //! a guaranteed memo hit and a touched function (plus exactly the callers
 //! whose view of it changed) recomputes.
 //!
-//! The manager is seven public [`Memo`] fields, one per analysis class,
-//! that the analyses call directly (`mgr.absint.get_or_compute(..)`);
-//! adding a class is one field plus one line in
-//! [`IncrementalAnalysisManager::stats`]. The four chained analyses
-//! are reached through one [`ModuleAnalyses`](crate::ModuleAnalyses) per
-//! module state, which hands its manager to every driver it runs and
-//! runs each at most once. The sanitizer holds no manager: each of its
-//! checks takes one as an argument. The four interprocedural
+//! The manager is seven public [`Memo`] fields, one per analysis class.
+//! An analysis holding an optional manager computes through
+//! [`memoized`](crate::memo::memoized)`(mgr.map(|g| &g.absint), ..)`, which
+//! builds the key only when a manager is present; adding a class is one
+//! field, one line in [`IncrementalAnalysisManager::stats`] and one
+//! `memoized` call at the computation it memoizes. The four chained
+//! analyses are reached through one
+//! [`ModuleAnalyses`](crate::ModuleAnalyses) per module state, which
+//! hands its manager to every driver it runs and runs each at most once.
+//! The sanitizer holds no manager: each of its checks takes one as an
+//! argument. The four interprocedural
 //! classes (absint, alias, scev, depend) log the names of the functions
 //! they recompute, which the invalidation tests drain with
 //! [`Memo::drain_log`]. The classes and their keys:
@@ -136,8 +139,8 @@ impl IncrementalStats {
 }
 
 /// The shared, thread-safe memo store: one [`Memo`] per analysis class,
-/// used directly by the analyses. See the module docs for keying and the
-/// determinism contract.
+/// reached through [`memoized`](crate::memo::memoized). See the module
+/// docs for keying and the determinism contract.
 pub struct IncrementalAnalysisManager {
     /// Per-function embeddings.
     pub embed: Memo<EmbedKey, Arc<Vec<f64>>>,

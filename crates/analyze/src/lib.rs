@@ -32,6 +32,7 @@ pub mod absint;
 pub mod alias;
 pub mod analyses;
 pub mod bundle;
+mod callgraph;
 pub mod dataflow;
 pub mod depend;
 pub mod diag;

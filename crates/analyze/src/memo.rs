@@ -18,6 +18,9 @@
 //!   for every other caller. Recovering a poisoned guard is sound: only
 //!   key hashing, clones and the map updates run under the lock, never a
 //!   computation.
+//! - [`memoized`] — the one way a caller holding an *optional* memo
+//!   computes through it: the key is built only when a memo is present,
+//!   so a caller without one pays for no fingerprint or digest.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -198,6 +201,22 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     }
 }
 
+/// `compute()`, memoized in `memo` when there is one: only then is `key`
+/// called, and the value is [`Memo::get_or_compute`] under `name` and
+/// that key. With no memo, `compute` runs directly and `key` is never
+/// called.
+pub fn memoized<K: Hash + Eq + Clone, V: Clone>(
+    memo: Option<&Memo<K, V>>,
+    name: &str,
+    key: impl FnOnce() -> K,
+    compute: impl FnOnce() -> V,
+) -> V {
+    match memo {
+        Some(memo) => memo.get_or_compute(name, key(), compute),
+        None => compute(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +272,33 @@ mod tests {
         for k in 3..7u32 {
             assert_eq!(memo.get(&k), Some(u64::from(k)));
         }
+    }
+
+    #[test]
+    fn memoized_without_a_memo_computes_and_never_builds_the_key() {
+        let v = memoized::<u32, u32>(None, "f", || panic!("key built"), || 7);
+        assert_eq!(v, 7);
+    }
+
+    #[test]
+    fn memoized_with_a_memo_computes_once_and_logs_the_miss() {
+        let memo: Memo<u32, u32> = Memo::logged(4);
+        let mut runs = 0;
+        for _ in 0..2 {
+            let v = memoized(
+                Some(&memo),
+                "f",
+                || 1,
+                || {
+                    runs += 1;
+                    10
+                },
+            );
+            assert_eq!(v, 10);
+        }
+        assert_eq!(runs, 1);
+        assert_eq!(memo.stats(), ClassStats { hits: 1, misses: 1 });
+        assert_eq!(memo.drain_log(), vec!["f"]);
     }
 
     #[test]

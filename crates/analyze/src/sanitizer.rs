@@ -316,7 +316,11 @@ impl Sanitizer {
     /// bit-identical without it.
     ///
     /// Only diagnostics *absent before the transform* are reported, so
-    /// pre-existing corpus findings never indict a pass.
+    /// pre-existing corpus findings never indict a pass. `lints` holds
+    /// `pre`'s verifier + lint report when the caller has it (`None`
+    /// lints `pre` here) and is left holding `post`'s, so a pipeline
+    /// hands each check's post-state report to the next check instead
+    /// of linting that state twice.
     pub fn check_transform(
         &self,
         pass: &str,
@@ -324,6 +328,7 @@ impl Sanitizer {
         post: &Module,
         reapply: Option<Reapply<'_>>,
         mgr: Option<&IncrementalAnalysisManager>,
+        lints: &mut Option<Vec<Diagnostic>>,
     ) -> TransformVerdict {
         let mut verdict = TransformVerdict {
             pass: pass.to_string(),
@@ -336,11 +341,13 @@ impl Sanitizer {
         self.checks.fetch_add(1, Ordering::Relaxed);
 
         // -- layer 1: verifier + lints, differenced against `pre` -----------
-        let pre_keys: HashSet<String> = lint_module(pre, mgr).iter().map(diag_key).collect();
-        let post_diags = lint_module(post, mgr);
+        let pre_diags = lints.take().unwrap_or_else(|| lint_module(pre, mgr));
+        let pre_keys: HashSet<String> = pre_diags.iter().map(diag_key).collect();
+        let post_diags = lints.insert(lint_module(post, mgr));
         let mut fresh: Vec<Diagnostic> = post_diags
-            .into_iter()
+            .iter()
             .filter(|d| d.severity >= Severity::Warning && !pre_keys.contains(&diag_key(d)))
+            .cloned()
             .collect();
         if fresh.iter().any(|d| d.code == codes::VERIFY) {
             self.verify_failures.fetch_add(1, Ordering::Relaxed);
@@ -684,7 +691,7 @@ mod tests {
         let san = Sanitizer::new(SanitizeLevel::Off);
         let m = good_module();
         let bad = miscompiled_module();
-        let v = san.check_transform("p", &m, &bad, None, None);
+        let v = san.check_transform("p", &m, &bad, None, None, &mut None);
         assert!(!v.is_fatal());
         assert_eq!(san.stats().checks, 0);
     }
@@ -693,7 +700,7 @@ mod tests {
     fn identity_transform_is_clean_at_full() {
         let san = Sanitizer::new(SanitizeLevel::Full);
         let m = good_module();
-        let v = san.check_transform("noop", &m, &m.clone(), None, None);
+        let v = san.check_transform("noop", &m, &m.clone(), None, None, &mut None);
         assert!(!v.is_fatal(), "{}", v.render());
         let st = san.stats();
         assert_eq!(st.checks, 1);
@@ -706,7 +713,7 @@ mod tests {
         let san = Sanitizer::new(SanitizeLevel::Full);
         let m = good_module();
         let bad = miscompiled_module();
-        let v = san.check_transform("evil", &m, &bad, None, None);
+        let v = san.check_transform("evil", &m, &bad, None, None, &mut None);
         assert!(v.is_fatal());
         let mc = v.miscompile.expect("miscompile detected");
         assert_eq!(mc.entry, "main");
@@ -722,7 +729,7 @@ mod tests {
         let san = Sanitizer::new(SanitizeLevel::Verify);
         let m = good_module();
         let bad = miscompiled_module();
-        let v = san.check_transform("evil", &m, &bad, None, None);
+        let v = san.check_transform("evil", &m, &bad, None, None, &mut None);
         // both modules verify and lint clean, and no execution happens
         assert!(!v.is_fatal(), "{}", v.render());
         assert_eq!(san.stats().diff_execs, 0);
@@ -738,7 +745,7 @@ mod tests {
         let f = bad.func_mut(fid).unwrap();
         let ret = f.terminator(f.entry).unwrap();
         f.remove_inst(ret);
-        let v = san.check_transform("breaker", &m, &bad, None, None);
+        let v = san.check_transform("breaker", &m, &bad, None, None, &mut None);
         assert!(v.is_fatal(), "{}", v.render());
         assert!(v.diagnostics.iter().any(|d| d.code == codes::VERIFY));
         assert_eq!(san.stats().verify_failures, 1);
@@ -773,7 +780,7 @@ mod tests {
         );
         m.add_function(f);
         let san = Sanitizer::new(SanitizeLevel::Verify);
-        let v = san.check_transform("noop", &m, &m.clone(), None, None);
+        let v = san.check_transform("noop", &m, &m.clone(), None, None, &mut None);
         assert!(!v.is_fatal(), "{}", v.render());
         assert!(v.diagnostics.is_empty(), "{:?}", v.diagnostics);
     }
@@ -800,7 +807,7 @@ mod tests {
         };
         let san = Sanitizer::new(SanitizeLevel::Full);
         let post = evil(&m).unwrap();
-        let v = san.check_transform("evil", &m, &post, Some(&evil), None);
+        let v = san.check_transform("evil", &m, &post, Some(&evil), None, &mut None);
         let mc = v.miscompile.expect("detected");
         // helpers reduced away; the add feeding the original ret is dead
         // after the rewrite and may or may not be removable, but function
@@ -855,7 +862,7 @@ mod tests {
     fn validate_level_proves_identity_without_executing() {
         let san = Sanitizer::new(SanitizeLevel::Validate);
         let m = good_module();
-        let v = san.check_transform("noop", &m, &m.clone(), None, None);
+        let v = san.check_transform("noop", &m, &m.clone(), None, None, &mut None);
         assert!(!v.is_fatal(), "{}", v.render());
         let st = san.stats();
         assert_eq!(st.validate_proved, 1);
@@ -870,7 +877,7 @@ mod tests {
         let san = Sanitizer::new(SanitizeLevel::Validate);
         let m = good_module();
         let bad = miscompiled_module();
-        let v = san.check_transform("evil", &m, &bad, None, None);
+        let v = san.check_transform("evil", &m, &bad, None, None, &mut None);
         assert!(v.is_fatal());
         let mc = v.miscompile.expect("refutation becomes a miscompile");
         assert_eq!(mc.entry, "main");

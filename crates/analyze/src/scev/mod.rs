@@ -47,6 +47,7 @@
 
 use crate::absint::{FnSummary, FuncFacts, ModuleAbsint};
 use crate::diag::{codes, Diagnostic};
+use crate::memo::memoized;
 use crate::profile::FnProfile;
 use posetrl_ir::analysis::{Cfg, DomTree, Loop, LoopForest};
 use posetrl_ir::{BinOp, BlockId, Function, InstId, IntPred, Module, Op, SourceLoc, Ty, Value};
@@ -714,36 +715,33 @@ pub fn analyze_module_cfg_absint(
         }
         let facts = mi.facts(fid);
         let summary = mi.summary(fid);
-        let out: Arc<ScevFnResult> = match mgr {
-            None => Arc::new(analyze_function(f, facts, summary, &noreturn, cfg)),
-            Some(mgr) => {
-                use std::fmt::Write as _;
-                let mut inp = String::new();
-                let _ = write!(inp, "{facts:?}|{summary:?}|");
-                let mut callees: Vec<u32> = f
-                    .inst_ids()
-                    .iter()
-                    .filter_map(|&id| match f.op(id) {
-                        Op::Call { callee, .. } => Some(callee.0),
-                        _ => None,
-                    })
-                    .collect();
-                callees.sort_unstable();
-                callees.dedup();
-                for c in callees {
-                    let _ = write!(inp, "{c}:{};", noreturn.contains(&c) as u8);
-                }
-                let key = (
-                    posetrl_ir::function_fingerprint(m, f),
-                    posetrl_ir::digest_str(&format!("{}|{}|{}", fid.0, MAX_IVS, cfg.trip_budget)),
-                    posetrl_ir::digest_str(&inp),
-                );
-                mgr.scev.get_or_compute(&f.name, key, || {
-                    Arc::new(analyze_function(f, facts, summary, &noreturn, cfg))
+        let key = || {
+            use std::fmt::Write as _;
+            let mut inp = String::new();
+            let _ = write!(inp, "{facts:?}|{summary:?}|");
+            let mut callees: Vec<u32> = f
+                .inst_ids()
+                .iter()
+                .filter_map(|&id| match f.op(id) {
+                    Op::Call { callee, .. } => Some(callee.0),
+                    _ => None,
                 })
+                .collect();
+            callees.sort_unstable();
+            callees.dedup();
+            for c in callees {
+                let _ = write!(inp, "{c}:{};", noreturn.contains(&c) as u8);
             }
+            (
+                posetrl_ir::function_fingerprint(m, f),
+                posetrl_ir::digest_str(&format!("{}|{}|{}", fid.0, MAX_IVS, cfg.trip_budget)),
+                posetrl_ir::digest_str(&inp),
+            )
         };
-        funcs.insert(fid.0, (*out).clone());
+        let out = memoized(mgr.map(|g| &g.scev), &f.name, key, || {
+            Arc::new(analyze_function(f, facts, summary, &noreturn, cfg))
+        });
+        funcs.insert(fid.0, Arc::unwrap_or_clone(out));
     }
     ModuleScev { funcs }
 }

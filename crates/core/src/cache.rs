@@ -128,11 +128,6 @@ impl CacheStats {
         self.step_misses + self.measure_misses + self.embed_misses
     }
 
-    /// Total lookups (hits + misses) across classes.
-    pub fn total_lookups(&self) -> u64 {
-        self.total_hits() + self.total_misses()
-    }
-
     /// Overall hit rate in `[0, 1]` (0 when no lookups happened).
     pub fn hit_rate(&self) -> f64 {
         let h = self.total_hits();

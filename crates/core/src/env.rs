@@ -27,6 +27,7 @@
 
 use crate::actions::ActionSet;
 use crate::cache::{memoized_step, sequence_signature, EvalCache, MeasureMemo};
+use posetrl_analyze::memo::memoized;
 use posetrl_analyze::{IncrementalAnalysisManager, ModuleAnalyses, SanitizeLevel, Sanitizer};
 use posetrl_embed::{EmbedConfig, Embedder};
 use posetrl_ir::{function_fingerprint, module_hash, Module, ModuleHash, Op};
@@ -252,20 +253,19 @@ impl PhaseEnv {
         self.module.as_ref().expect("environment not reset")
     }
 
-    /// Encodes `m` (hashed `h`) into a state, memoized when caching.
-    fn encode_memo(&self, h: Option<ModuleHash>, m: &Module) -> Vec<f64> {
+    /// Encodes `m`, the current module, into a state, memoized under its
+    /// hash when caching.
+    fn encode_memo(&self, m: &Module) -> Vec<f64> {
         // the high bit distinguishes feature-extended embeddings from plain
         // ones under the same module hash
         let enc = self.config.encoding as u8 | if self.config.static_features { 0x80 } else { 0 };
-        match (&self.cache, h) {
-            (Some(cache), Some(h)) => {
-                let v = cache
-                    .embed
-                    .get_or_compute("embed", (h, enc), || Arc::new(self.encode(m)));
-                (*v).clone()
-            }
-            _ => self.encode(m),
-        }
+        let key = || (self.cur_hash.expect("hash tracked while caching"), enc);
+        Arc::unwrap_or_clone(memoized(
+            self.cache.as_deref().map(|c| &c.embed),
+            "embed",
+            key,
+            || Arc::new(self.encode(m)),
+        ))
     }
 
     /// Starts an episode on `module` (the unoptimized input). Returns the
@@ -285,7 +285,7 @@ impl PhaseEnv {
         self.last_cycles = cycles;
         self.steps_taken = 0;
         self.applied.clear();
-        let state = self.encode_memo(self.cur_hash, &module);
+        let state = self.encode_memo(&module);
         self.module = Some(module);
         state
     }
@@ -342,7 +342,7 @@ impl PhaseEnv {
         self.steps_taken += 1;
         self.applied.push(a);
 
-        let state = self.encode_memo(self.cur_hash, self.module.as_ref().unwrap());
+        let state = self.encode_memo(self.module.as_ref().unwrap());
         StepResult {
             state,
             reward,
@@ -377,14 +377,14 @@ impl PhaseEnv {
     /// helpers replicate the from-scratch float-op order exactly, so the
     /// state is bit-identical either way.
     pub fn encode(&self, m: &Module) -> Vec<f64> {
-        let mut v = match (self.config.encoding, &self.incr) {
-            (StateEncoding::Ir2Vec, Some(mgr)) => self.embedder.embed_module_with(m, |e, f| {
-                let key = (function_fingerprint(m, f), self.embed_cfg_digest);
-                mgr.embed
-                    .get_or_compute(&f.name, key, || Arc::new(e.embed_function(f)))
+        let mut v = match self.config.encoding {
+            StateEncoding::Ir2Vec => self.embedder.embed_module_with(m, |e, f| {
+                let key = || (function_fingerprint(m, f), self.embed_cfg_digest);
+                memoized(self.incr.as_deref().map(|g| &g.embed), &f.name, key, || {
+                    Arc::new(e.embed_function(f))
+                })
             }),
-            (StateEncoding::Ir2Vec, None) => self.embedder.embed_module(m),
-            (StateEncoding::Histogram, _) => histogram_state(m, self.embedder.dim()),
+            StateEncoding::Histogram => histogram_state(m, self.embedder.dim()),
         };
         if self.config.static_features {
             let analyses = ModuleAnalyses::new(m, self.incr.as_deref());
@@ -449,10 +449,9 @@ pub fn measure(
             throughput: report.throughput,
         }
     };
-    match memo {
-        Some((cache, h)) => cache.measure.get_or_compute("measure", (h, arch), compute),
-        None => compute(),
-    }
+    let (cache, h) = memo.unzip();
+    let key = || (h.expect("a hash comes with the cache"), arch);
+    memoized(cache.map(|c| &c.measure), "measure", key, compute)
 }
 
 /// The expert-feature baseline state: hashed opcode histogram, normalized.

@@ -2,10 +2,8 @@
 
 pub mod cfg;
 pub mod dom;
-pub mod liveness;
 pub mod loops;
 
 pub use cfg::Cfg;
 pub use dom::DomTree;
-pub use liveness::Liveness;
 pub use loops::{Loop, LoopForest};

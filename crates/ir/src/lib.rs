@@ -8,7 +8,7 @@
 //! - a convenient [`builder::FunctionBuilder`] for constructing programs,
 //! - a human-readable textual format with a [`printer`] and [`parser`],
 //! - a structural/SSA [`verifier`],
-//! - standard [`analysis`] passes (CFG, dominators, natural loops, liveness,
+//! - standard [`analysis`] passes (CFG, dominators, natural loops,
 //!   use-def chains),
 //! - a reference [`interp`] interpreter used to check that optimizations
 //!   preserve observable semantics and to profile dynamic execution.

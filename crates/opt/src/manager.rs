@@ -138,6 +138,13 @@ impl PassManager {
     /// pass changed the module. `mgr`, when given, memoizes the
     /// sanitizer's lints, analyses and validate obligations.
     ///
+    /// Each module state is linted once: the first changed pass's
+    /// pre-state, then every post-state, whose report is the next check's
+    /// pre-state report. A pass that leaves the hash unchanged is taken to
+    /// leave the report unchanged too; the only such edit seen, `inferattrs`
+    /// setting attributes on declarations, is invisible to the lint suite,
+    /// which reads no attributes.
+    ///
     /// With a disabled sanitizer this is [`run_pipeline`].
     ///
     /// # Errors
@@ -161,6 +168,7 @@ impl PassManager {
         }
         let mut changed = false;
         let mut hash = module_hash(module);
+        let mut lints = None;
         for name in names {
             let name = name.as_ref();
             let pre = module.clone();
@@ -174,7 +182,7 @@ impl PassManager {
                 let mut out = input.clone();
                 self.run_pass(&mut out, name).ok().map(|_| out)
             };
-            let verdict = san.check_transform(name, &pre, module, Some(&reapply), mgr);
+            let verdict = san.check_transform(name, &pre, module, Some(&reapply), mgr, &mut lints);
             if verdict.is_fatal() {
                 return Err(PipelineError::Sanitizer {
                     pass: name.to_string(),

@@ -172,7 +172,8 @@ fn mutation_injection_is_always_detected() {
             }
 
             seeded += 1;
-            let verdict = san.check_transform("lying-pass", &b.module, &corrupt, None, None);
+            let verdict =
+                san.check_transform("lying-pass", &b.module, &corrupt, None, None, &mut None);
             if verdict.is_fatal() {
                 let mc = verdict
                     .miscompile

@@ -16,12 +16,15 @@
 //! "Environment variables" list, and every name CI sets must be read by
 //! some source or test harness.
 //!
-//! Two design rules ride along: every content-addressed cache goes
+//! Design rules ride along: every content-addressed cache goes
 //! through `posetrl_analyze::Memo`, so no library source outside
 //! `crates/analyze/src/memo.rs` names the `BoundedMap` under it; and the
 //! module analyses are chained only by `posetrl_analyze::ModuleAnalyses`,
 //! so the per-analysis shortcuts that chained them by hand stay deleted
-//! and no other code calls the scev or depend module drivers.
+//! and no other code calls the scev or depend module drivers. Two more
+//! keep one home each: a lookup through an optional memo goes through
+//! `posetrl_analyze::memo::memoized`, and only the call graph absint and
+//! alias share builds the address-taken set.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -388,5 +391,68 @@ fn only_module_analyses_chains_the_analyses() {
     assert_eq!(
         callers, expected,
         "chain the analyses through ModuleAnalyses"
+    );
+}
+
+/// The library lines of every `.rs` file under `dir` — those before the
+/// file's first `#[cfg(test)]`, comment lines dropped — as
+/// `(repo-relative path, 1-based line number, line)`.
+fn library_lines(dir: &str) -> Vec<(String, usize, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut out = Vec::new();
+    for p in rust_sources(&root.join(dir)) {
+        let rel = p.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(&p).unwrap();
+        for (i, line) in text.lines().enumerate() {
+            let trimmed = line.trim_start();
+            if trimmed.starts_with("#[cfg(test)]") {
+                break;
+            }
+            if !trimmed.starts_with("//") {
+                out.push((rel.clone(), i + 1, line.to_string()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn only_the_memo_helper_branches_on_an_optional_memo() {
+    // a caller holding an optional manager or cache computes through
+    // `memo::memoized`, which builds the key only when a memo is present;
+    // a direct `get_or_compute` call is a hand-written "with a memo /
+    // without one" branch. `validate::refine` (never stores a refutation)
+    // and `cache::memoized_step` (rewrites the module in place) keep their
+    // own `Memo::get`/`insert` on purpose and are not matched.
+    let mut found = Vec::new();
+    for dir in ["crates/analyze/src", "crates/core/src"] {
+        for (rel, n, line) in library_lines(dir) {
+            if rel != "crates/analyze/src/memo.rs" && token_count(&line, "get_or_compute", "(") > 0
+            {
+                found.push(format!("{rel}:{n}"));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "memoize through posetrl_analyze::memo::memoized: {found:#?}"
+    );
+}
+
+#[test]
+fn only_the_shared_call_graph_builds_an_address_taken_set() {
+    let found: Vec<String> = library_lines("crates/analyze/src")
+        .into_iter()
+        .filter(|(rel, _, line)| {
+            rel != "crates/analyze/src/callgraph.rs"
+                && (line.contains("if let Value::Func(")
+                    || token_count(line, "address_taken.insert", "(") > 0)
+        })
+        .map(|(rel, n, _)| format!("{rel}:{n}"))
+        .collect();
+    assert!(
+        found.is_empty(),
+        "read the address-taken set off callgraph::CallGraph: {found:#?}"
     );
 }

@@ -144,7 +144,8 @@ fn validate_level_mutation_injection_is_always_detected() {
             }
 
             seeded += 1;
-            let verdict = san.check_transform("lying-pass", &b.module, &corrupt, None, None);
+            let verdict =
+                san.check_transform("lying-pass", &b.module, &corrupt, None, None, &mut None);
             assert!(
                 verdict.is_fatal(),
                 "{}/{mutation:?}: behaviour-changing mutant escaped level validate",
