@@ -34,7 +34,7 @@ use posetrl_ir::{function_fingerprint, module_hash, Module, ModuleHash, Op};
 use posetrl_opt::manager::{PassManager, PipelineError};
 use posetrl_target::{mca, size::object_size, TargetArch};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How states are represented (ablation knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,7 +116,11 @@ pub struct PhaseEnv {
     /// action set it came from.
     action_sigs: Vec<u64>,
     pm: PassManager,
-    embedder: Embedder,
+    /// The process-wide embedder for the (fixed) embedding configuration,
+    /// shared so its interned instruction rows and pooled flow blocks
+    /// outlive any one env (serve builds an env per request, the engine
+    /// one per episode).
+    embedder: Arc<Embedder>,
     module: Option<Module>,
     /// Shared memoization cache; `None` runs every evaluation from scratch.
     cache: Option<Arc<EvalCache>>,
@@ -155,19 +159,18 @@ impl PhaseEnv {
             .collect();
         let sanitizer = (config.sanitize != SanitizeLevel::Off)
             .then(|| Arc::new(Sanitizer::new(config.sanitize)));
-        let embedder = Embedder::new(EmbedConfig::default());
-        let embed_cfg_digest = posetrl_ir::digest_str(&format!("{:?}", embedder.config()));
+        let (embedder, embed_cfg_digest) = shared_embedder();
         PhaseEnv {
             config,
             actions,
             action_sigs,
             pm: PassManager::new(),
-            embedder,
+            embedder: Arc::clone(embedder),
             module: None,
             cache: None,
             sanitizer,
             incr: Some(Arc::new(IncrementalAnalysisManager::new())),
-            embed_cfg_digest,
+            embed_cfg_digest: *embed_cfg_digest,
             cur_hash: None,
             base_size: 0.0,
             base_cycles: 0.0,
@@ -402,6 +405,17 @@ impl PhaseEnv {
         };
         self.embedder.dim() + extra
     }
+}
+
+/// The embedder every environment shares, with the digest of its
+/// configuration.
+fn shared_embedder() -> &'static (Arc<Embedder>, u128) {
+    static SHARED: OnceLock<(Arc<Embedder>, u128)> = OnceLock::new();
+    SHARED.get_or_init(|| {
+        let embedder = Embedder::new(EmbedConfig::default());
+        let digest = posetrl_ir::digest_str(&format!("{:?}", embedder.config()));
+        (Arc::new(embedder), digest)
+    })
 }
 
 /// Runs `passes` on `m` in place, sanitized when a sanitizer is attached

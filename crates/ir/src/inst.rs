@@ -412,28 +412,53 @@ impl Op {
         }
     }
 
-    /// Iterates over the value operands of the instruction.
+    /// The value operands of the instruction, in operand order.
     pub fn operands(&self) -> Vec<Value> {
+        let mut out = Vec::new();
+        self.for_each_operand(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on every value operand, in [`Op::operands`] order,
+    /// without allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
         match self {
             Op::Bin { lhs, rhs, .. } | Op::Icmp { lhs, rhs, .. } | Op::Fcmp { lhs, rhs, .. } => {
-                vec![*lhs, *rhs]
+                f(*lhs);
+                f(*rhs);
             }
             Op::Select {
                 cond, tval, fval, ..
-            } => vec![*cond, *tval, *fval],
-            Op::Cast { val, .. } => vec![*val],
-            Op::Alloca { .. } => vec![],
-            Op::Load { ptr, .. } => vec![*ptr],
-            Op::Store { val, ptr, .. } => vec![*val, *ptr],
-            Op::Gep { ptr, index, .. } => vec![*ptr, *index],
-            Op::Call { args, .. } => args.clone(),
-            Op::Phi { incomings, .. } => incomings.iter().map(|(_, v)| *v).collect(),
-            Op::MemCpy { dst, src, len, .. } => vec![*dst, *src, *len],
-            Op::MemSet { dst, val, len, .. } => vec![*dst, *val, *len],
-            Op::Br { .. } => vec![],
-            Op::CondBr { cond, .. } => vec![*cond],
-            Op::Ret { val } => val.iter().copied().collect(),
-            Op::Unreachable => vec![],
+            } => {
+                f(*cond);
+                f(*tval);
+                f(*fval);
+            }
+            Op::Cast { val, .. } | Op::Load { ptr: val, .. } | Op::CondBr { cond: val, .. } => {
+                f(*val)
+            }
+            Op::Store { val, ptr, .. } => {
+                f(*val);
+                f(*ptr);
+            }
+            Op::Gep { ptr, index, .. } => {
+                f(*ptr);
+                f(*index);
+            }
+            Op::Call { args, .. } => args.iter().copied().for_each(f),
+            Op::Phi { incomings, .. } => incomings.iter().for_each(|(_, v)| f(*v)),
+            Op::MemCpy { dst, src, len, .. } => {
+                f(*dst);
+                f(*src);
+                f(*len);
+            }
+            Op::MemSet { dst, val, len, .. } => {
+                f(*dst);
+                f(*val);
+                f(*len);
+            }
+            Op::Ret { val } => val.iter().copied().for_each(f),
+            Op::Alloca { .. } | Op::Br { .. } | Op::Unreachable => {}
         }
     }
 

@@ -348,18 +348,25 @@ impl Function {
     }
 
     /// Replaces every use of `Inst(id)` with `map[&id]`, in one sweep over
-    /// all instructions. When no replacement value is itself a key, this
-    /// equals one [`Function::replace_all_uses`] per entry, in any order.
-    pub fn replace_all_uses_map(&mut self, map: &HashMap<InstId, Value>) {
+    /// all instructions, and returns whether any operand changed. When no
+    /// replacement value is itself a key, this equals one
+    /// [`Function::replace_all_uses`] per entry, in any order.
+    pub fn replace_all_uses_map(&mut self, map: &HashMap<InstId, Value>) -> bool {
+        let mut rewrote = false;
         if map.is_empty() {
-            return;
+            return rewrote;
         }
         for inst in self.insts.iter_mut().flatten() {
             inst.op.map_operands(|v| match v {
-                Value::Inst(id) => map.get(&id).copied().unwrap_or(v),
+                Value::Inst(id) => {
+                    let to = map.get(&id).copied().unwrap_or(v);
+                    rewrote |= to != v;
+                    to
+                }
                 other => other,
             });
         }
+        rewrote
     }
 
     /// Replaces uses of `from` with `to` within a single instruction.

@@ -157,8 +157,7 @@ impl Pass for IpSccp {
                 // for its side effects; DCE cleans up pure ones)
                 let f = module.func_mut(fid).unwrap();
                 let returns = used_constant_returns(f, &const_ret);
-                round_changed |= !returns.is_empty();
-                f.replace_all_uses_map(&returns);
+                round_changed |= f.replace_all_uses_map(&returns);
                 round_changed |= sccp_function(f, &args);
             }
             changed |= round_changed;
@@ -385,13 +384,16 @@ fn rewrite(f: &mut Function, value: &[Lattice]) -> bool {
             _ => None,
         })
         .collect();
-    let mut changed = !folded.is_empty();
-    f.replace_all_uses_map(&folded);
+    // A fold moves the function when it rewrites a use or removes the
+    // instruction (a pure one). A trapping division folded on an earlier
+    // run is kept, with no use left, and changes nothing now.
+    let mut changed = f.replace_all_uses_map(&folded);
     // a call is never folded (its lattice value is overdefined), so no
     // callee attribute decides what is removable here
     for &id in folded.keys() {
         if f.op(id).is_pure() {
             f.remove_inst(id);
+            changed = true;
         }
     }
     for b in f.block_ids().collect::<Vec<_>>() {

@@ -25,7 +25,7 @@ use posetrl_ir::hash::digest_str;
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::printer::print_module;
 use posetrl_ir::verifier::verify_module;
-use posetrl_ir::Module;
+use posetrl_ir::{function_fingerprint, Module};
 use posetrl_odg::ActionSpace;
 use posetrl_opt::manager::PassManager;
 use std::path::{Path, PathBuf};
@@ -201,4 +201,37 @@ fn rewritten_passes_and_the_hot_action_print_the_pinned_outputs() {
         differing.is_empty() && EXPECTED.len() == actual.len(),
         "pass outputs moved in rows {differing:?}; the table now reads:\n{table}"
     );
+}
+
+/// Every function's arena fingerprint, in function order.
+fn fingerprints(m: &Module) -> Vec<u128> {
+    m.func_ids()
+        .map(|fid| function_fingerprint(m, m.func(fid).unwrap()))
+        .collect()
+}
+
+/// `ipsccp` reports a change exactly when it moves a function
+/// fingerprint: on every corpus program raw, after `mem2reg` and after
+/// the hot action, and once more on its own output, where a leftover
+/// folded-but-kept instruction used to make it report a change again.
+#[test]
+fn ipsccp_reports_a_change_exactly_when_a_function_moves() {
+    let pm = PassManager::new();
+    let space = ActionSpace::odg();
+    let hot = space.subsequence(HOT_ACTION);
+    let mut reported = 0;
+    for (name, raw) in &corpus() {
+        let starts = [raw.clone(), run(&pm, raw, &["mem2reg"]), run(&pm, raw, hot)];
+        for (input, start) in ["raw", "mem2reg", "hot"].iter().zip(starts) {
+            let mut m = start;
+            for round in 0..2 {
+                let before = fingerprints(&m);
+                let changed = pm.run_pass(&mut m, "ipsccp").expect("a registered pass");
+                let moved = fingerprints(&m) != before;
+                assert_eq!(changed, moved, "{name} | {input} | ipsccp ×{}", round + 1);
+                reported += usize::from(changed);
+            }
+        }
+    }
+    assert!(reported > 0, "the corpus gives ipsccp something to do");
 }
