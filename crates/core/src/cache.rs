@@ -47,7 +47,7 @@ pub(crate) fn sequence_signature(passes: &[impl AsRef<str>]) -> u64 {
         joined.push_str(p.as_ref());
         joined.push('\x1f');
     }
-    posetrl_embed::fnv1a(&joined)
+    posetrl_ir::hash::fnv1a(joined.as_bytes())
 }
 
 /// A memoized environment step: the module after applying one action.

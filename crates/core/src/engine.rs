@@ -20,12 +20,15 @@
 //!    `(engine seed, episode index)` and a pre-assigned global step range
 //!    that determines its ε schedule, so a rollout's trajectory depends
 //!    only on the plan, never on which thread runs it or when.
-//! 3. Workers drain a shared job queue and write results into per-job
-//!    slots; the coordinator consumes them **in episode order**, pushing
-//!    transitions into replay and training the live agent exactly as the
-//!    serial path would.
-//! 4. Validation sweeps evaluate the round's frozen policy greedily; they
-//!    share the worker pool and the cache but touch no training state.
+//! 3. Workers take the planned episodes one at a time from the crate's
+//!    one worker pool, which returns results in plan order; the
+//!    coordinator consumes them **in episode order**, pushing transitions
+//!    into replay and training the live agent exactly as the serial path
+//!    would.
+//! 4. Validation sweeps run the round's frozen policy through the same
+//!    greedy-vs-`-Oz` comparison that model evaluation uses, on the same
+//!    pool and cache, and touch no training state. The `-Oz` baselines
+//!    are computed once per run.
 //!
 //! `workers == 1` runs the identical algorithm on the coordinator thread
 //! with no thread spawns — that is the "serial path" the determinism suite
@@ -34,17 +37,14 @@
 use crate::actions::ActionSet;
 use crate::cache::{CacheStats, EvalCache};
 use crate::env::PhaseEnv;
-use crate::eval::{resolved_workers, run_oz};
-use crate::trainer::{tail_mean_reward, TrainedModel, TrainerConfig};
-use parking_lot::Mutex;
+use crate::eval::{aggregate, pool_map, resolved_workers, OzBaselines, ParallelEval};
+use crate::trainer::{tail_mean_reward, training_setup, TrainedModel, TrainerConfig};
 use posetrl_analyze::{IncrementalAnalysisManager, SanitizeLevel, Sanitizer, SanitizerStats};
-use posetrl_opt::manager::PassManager;
+use posetrl_ir::hash::{mix64, SPLITMIX_GAMMA};
 use posetrl_rl::dqn::{DqnAgent, DqnConfig, Policy};
 use posetrl_rl::replay::Transition;
-use posetrl_target::size::object_size;
 use posetrl_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Engine configuration: a [`TrainerConfig`] plus parallelism/cache knobs.
@@ -162,11 +162,8 @@ impl EngineRng {
     }
 
     pub(crate) fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(SPLITMIX_GAMMA);
+        mix64(self.0)
     }
 
     /// Uniform in `[0, 1)`.
@@ -183,154 +180,54 @@ impl EngineRng {
 /// Seed of episode `ep_index`'s private RNG.
 fn episode_seed(engine_seed: u64, ep_index: u64) -> u64 {
     // one splitmix64 scramble so neighbouring episodes get unrelated streams
-    let mut z = engine_seed ^ ep_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(engine_seed ^ ep_index.wrapping_mul(SPLITMIX_GAMMA))
 }
 
-enum Job {
-    Episode {
-        slot: usize,
-        ep_index: u64,
-        start_step: u64,
-        module: posetrl_ir::Module,
-    },
-    Validate {
-        slot: usize,
-        oz_size: u64,
-        module: posetrl_ir::Module,
-    },
+/// One planned episode of a round.
+struct Episode<'a> {
+    ep_index: u64,
+    /// Global step index of the episode's first step (fixes its ε).
+    start_step: u64,
+    program: &'a Benchmark,
 }
 
-enum JobResult {
-    Episode {
-        reward: f64,
-        transitions: Vec<Transition>,
-    },
-    Validate {
-        size_reduction_pct: f64,
-    },
-}
-
-/// Everything a worker needs to run jobs (shared immutably per round).
-struct RoundCtx<'a> {
-    config: &'a EngineConfig,
-    agent_cfg: &'a DqnConfig,
-    actions: &'a ActionSet,
-    policy: &'a Policy,
-    cache: Option<&'a Arc<EvalCache>>,
-    sanitizer: Option<&'a Arc<Sanitizer>>,
-    incremental: Option<&'a Arc<IncrementalAnalysisManager>>,
-}
-
-impl RoundCtx<'_> {
-    fn make_env(&self) -> PhaseEnv {
-        let env_cfg = self.config.trainer.env.clone();
-        let mut env = match self.cache {
-            Some(c) => PhaseEnv::with_cache(env_cfg, self.actions.clone(), Arc::clone(c)),
-            None => PhaseEnv::new(env_cfg, self.actions.clone()),
+/// Rolls out one planned episode ε-greedily against the round's frozen
+/// `policy`; returns its reward and transitions.
+fn run_episode(
+    env: &mut PhaseEnv,
+    ep: &Episode<'_>,
+    policy: &Policy,
+    agent_cfg: &DqnConfig,
+    engine_seed: u64,
+) -> (f64, Vec<Transition>) {
+    let mut rng = EngineRng::new(episode_seed(engine_seed, ep.ep_index));
+    let mut state = env.reset(ep.program.module.clone());
+    let mut transitions = Vec::with_capacity(env.config().episode_len);
+    let mut reward = 0.0;
+    let mut offset = 0u64;
+    loop {
+        let eps = agent_cfg.epsilon_at(ep.start_step + offset);
+        let a = if rng.next_f64() < eps {
+            rng.next_below(env.actions().len())
+        } else {
+            policy.act_greedy(&state)
         };
-        // replace the env's private incremental manager with the run-wide
-        // shared one (or clear it when `config.incremental` is off); the
-        // sanitizer checks this env's steps through that manager, and is
-        // itself shared so its counters aggregate over every worker
-        env.set_incremental(self.incremental.map(Arc::clone));
-        env.set_sanitizer(self.sanitizer.map(Arc::clone));
-        env
-    }
-
-    fn run(&self, env: &mut PhaseEnv, job: Job) -> (usize, JobResult) {
-        match job {
-            Job::Episode {
-                slot,
-                ep_index,
-                start_step,
-                module,
-            } => {
-                let mut rng = EngineRng::new(episode_seed(self.config.seed, ep_index));
-                let mut state = env.reset(module);
-                let mut transitions = Vec::with_capacity(self.config.trainer.env.episode_len);
-                let mut reward = 0.0;
-                let mut offset = 0u64;
-                loop {
-                    let eps = self.agent_cfg.epsilon_at(start_step + offset);
-                    let a = if rng.next_f64() < eps {
-                        rng.next_below(self.actions.len())
-                    } else {
-                        self.policy.act_greedy(&state)
-                    };
-                    let r = env.step(a);
-                    reward += r.reward;
-                    transitions.push(Transition {
-                        state: std::mem::take(&mut state),
-                        action: a,
-                        reward: r.reward,
-                        next_state: r.state.clone(),
-                        done: r.done,
-                    });
-                    state = r.state;
-                    offset += 1;
-                    if r.done {
-                        break;
-                    }
-                }
-                (
-                    slot,
-                    JobResult::Episode {
-                        reward,
-                        transitions,
-                    },
-                )
-            }
-            Job::Validate {
-                slot,
-                oz_size,
-                module,
-            } => {
-                env.greedy_rollout(module, |s| self.policy.act_greedy(s));
-                let model_size = object_size(env.module(), self.config.trainer.env.arch).total;
-                let size_reduction_pct =
-                    100.0 * (oz_size as f64 - model_size as f64) / oz_size as f64;
-                (slot, JobResult::Validate { size_reduction_pct })
-            }
-        }
-    }
-}
-
-/// Runs `jobs` to completion on `workers` threads (in the caller's thread
-/// when `workers <= 1`) and returns results in slot order.
-fn run_round(ctx: &RoundCtx<'_>, jobs: Vec<Job>, workers: usize) -> Vec<JobResult> {
-    let n = jobs.len();
-    let queue: Mutex<VecDeque<Job>> = Mutex::new(jobs.into());
-    let slots: Mutex<Vec<Option<JobResult>>> =
-        Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
-
-    let drain = |ctx: &RoundCtx<'_>| {
-        let mut env = ctx.make_env();
-        loop {
-            let job = queue.lock().pop_front();
-            let Some(job) = job else { break };
-            let (slot, result) = ctx.run(&mut env, job);
-            slots.lock()[slot] = Some(result);
-        }
-    };
-
-    if workers <= 1 {
-        drain(ctx);
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(n.max(1)) {
-                s.spawn(|| drain(ctx));
-            }
+        let r = env.step(a);
+        reward += r.reward;
+        transitions.push(Transition {
+            state: std::mem::take(&mut state),
+            action: a,
+            reward: r.reward,
+            next_state: r.state.clone(),
+            done: r.done,
         });
+        state = r.state;
+        offset += 1;
+        if r.done {
+            break;
+        }
     }
-
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every job slot filled"))
-        .collect()
+    (reward, transitions)
 }
 
 /// Trains with the parallel episode engine.
@@ -348,43 +245,40 @@ pub fn train_parallel(
     valset: &[Benchmark],
 ) -> (TrainedModel, EngineReport) {
     let tcfg = &config.trainer;
-    let used: Vec<&Benchmark> = match tcfg.max_programs {
-        Some(n) => programs.iter().take(n).collect(),
-        None => programs.iter().collect(),
-    };
-    assert!(!used.is_empty(), "training needs at least one program");
+    let (used, agent_cfg) = training_setup(tcfg, &actions, programs);
+    let mut agent = DqnAgent::new(agent_cfg.clone());
 
     let incremental = config
         .incremental
         .then(|| Arc::new(IncrementalAnalysisManager::new()));
-    let cache = config.cache.then(|| {
-        Arc::new(
-            EvalCache::with_capacity(config.cache_capacity).with_incremental(incremental.clone()),
-        )
-    });
-    let sanitizer = (tcfg.env.sanitize != SanitizeLevel::Off)
-        .then(|| Arc::new(Sanitizer::new(tcfg.env.sanitize)));
-    let workers = resolved_workers(config.workers);
-
-    let mut agent_cfg = tcfg.agent.clone();
-    agent_cfg.state_dim = PhaseEnv::new(tcfg.env.clone(), actions.clone()).state_dim();
-    agent_cfg.n_actions = actions.len();
-    let mut agent = DqnAgent::new(agent_cfg.clone());
-
-    // -Oz baselines for the validation sweep, computed once up front
-    let oz_sizes: Vec<u64> = if config.validate_every > 0 {
-        let pm = PassManager::new();
-        valset
-            .iter()
-            .map(|b| {
-                let mut m = b.module.clone();
-                run_oz(&pm, &mut m, sanitizer.as_deref(), incremental.as_deref());
-                object_size(&m, tcfg.env.arch).total
-            })
-            .collect()
-    } else {
-        Vec::new()
+    let opts = ParallelEval {
+        workers: resolved_workers(config.workers),
+        cache: config.cache.then(|| {
+            Arc::new(
+                EvalCache::with_capacity(config.cache_capacity)
+                    .with_incremental(incremental.clone()),
+            )
+        }),
+        sanitizer: (tcfg.env.sanitize != SanitizeLevel::Off)
+            .then(|| Arc::new(Sanitizer::new(tcfg.env.sanitize))),
     };
+    let workers = opts.workers;
+    // a worker's environment shares the run-wide cache and sanitizer (so
+    // its counters aggregate over every worker), and replaces its private
+    // incremental manager with the run-wide one (or clears it when
+    // `config.incremental` is off)
+    let make_env = || {
+        let mut env = PhaseEnv::attached(
+            tcfg.env.clone(),
+            actions.clone(),
+            opts.cache.as_ref(),
+            opts.sanitizer.as_ref(),
+        );
+        env.set_incremental(incremental.clone());
+        env
+    };
+    // -Oz baselines of the validation set, computed at the first sweep
+    let mut oz: Option<OzBaselines> = None;
 
     let ep_len = tcfg.env.episode_len.max(1) as u64;
     let mut episode_rewards: Vec<f64> = Vec::new();
@@ -397,60 +291,28 @@ pub fn train_parallel(
 
     while steps < tcfg.total_steps {
         // plan the round: a fixed batch of episodes with pre-assigned step
-        // ranges, plus (periodically) the validation sweep
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut planned = 0u64;
-        while jobs.len() < config.episodes_per_round.max(1)
-            && steps + planned * ep_len < tcfg.total_steps
+        // ranges
+        let mut episodes: Vec<Episode<'_>> = Vec::new();
+        while episodes.len() < config.episodes_per_round.max(1)
+            && steps + episodes.len() as u64 * ep_len < tcfg.total_steps
         {
-            let program_idx = (ep_index as usize) % used.len();
-            jobs.push(Job::Episode {
-                slot: jobs.len(),
+            episodes.push(Episode {
                 ep_index,
-                start_step: steps + planned * ep_len,
-                module: used[program_idx].module.clone(),
+                start_step: steps + episodes.len() as u64 * ep_len,
+                program: &used[(ep_index as usize) % used.len()],
             });
             ep_index += 1;
-            planned += 1;
-        }
-        let n_episodes = jobs.len();
-        let validate = config.validate_every > 0
-            && round.is_multiple_of(config.validate_every)
-            && !valset.is_empty();
-        if validate {
-            for (i, b) in valset.iter().enumerate() {
-                jobs.push(Job::Validate {
-                    slot: n_episodes + i,
-                    oz_size: oz_sizes[i],
-                    module: b.module.clone(),
-                });
-            }
         }
 
         let policy = agent.policy();
-        let ctx = RoundCtx {
-            config,
-            agent_cfg: &agent_cfg,
-            actions: &actions,
-            policy: &policy,
-            cache: cache.as_ref(),
-            sanitizer: sanitizer.as_ref(),
-            incremental: incremental.as_ref(),
-        };
-        let results = run_round(&ctx, jobs, workers);
+        let results = pool_map(&episodes, workers, make_env, |env, ep| {
+            run_episode(env, ep, &policy, &agent_cfg, config.seed)
+        });
 
         // consume in plan order: replay filling + gradient updates stay on
         // this coordinator thread
         let mut round_reward = 0.0;
-        let mut results = results.into_iter();
-        for result in results.by_ref().take(n_episodes) {
-            let JobResult::Episode {
-                reward,
-                transitions,
-            } = result
-            else {
-                unreachable!("episode slots precede validation slots")
-            };
+        for (reward, transitions) in results {
             for t in transitions {
                 agent.advance_steps(1);
                 agent.observe(t);
@@ -459,23 +321,20 @@ pub fn train_parallel(
             round_reward += reward;
             episode_rewards.push(reward);
         }
-        if validate {
-            let mut reductions: Vec<f64> = Vec::with_capacity(valset.len());
-            for result in results {
-                let JobResult::Validate { size_reduction_pct } = result else {
-                    unreachable!("validation slots follow episode slots")
-                };
-                reductions.push(size_reduction_pct);
-            }
-            let n = reductions.len().max(1) as f64;
+        if config.validate_every > 0
+            && round.is_multiple_of(config.validate_every)
+            && !valset.is_empty()
+        {
+            let oz =
+                oz.get_or_insert_with(|| OzBaselines::compute(valset, tcfg.env.arch, false, &opts));
+            let greedy = |s: &[f64]| policy.act_greedy(s);
+            let (results, _) = oz.greedy_vs_oz(&greedy, &tcfg.env, &actions, valset, &opts);
+            let stats = aggregate(&results, tcfg.env.arch);
             validations.push(ValidationLog {
                 round,
-                avg_size_reduction_pct: reductions.iter().sum::<f64>() / n,
-                min_size_reduction_pct: reductions.iter().copied().fold(f64::INFINITY, f64::min),
-                max_size_reduction_pct: reductions
-                    .iter()
-                    .copied()
-                    .fold(f64::NEG_INFINITY, f64::max),
+                avg_size_reduction_pct: stats.avg_size_reduction_pct,
+                min_size_reduction_pct: stats.min_size_reduction_pct,
+                max_size_reduction_pct: stats.max_size_reduction_pct,
             });
         }
 
@@ -483,10 +342,10 @@ pub fn train_parallel(
             round,
             episodes: episode_rewards.len(),
             steps,
-            mean_reward: round_reward / n_episodes.max(1) as f64,
+            mean_reward: round_reward / episodes.len().max(1) as f64,
             epsilon: agent.epsilon(),
-            cache: cache.as_ref().map(|c| c.stats()),
-            sanitizer: sanitizer.as_ref().map(|s| s.stats()),
+            cache: opts.cache.as_ref().map(|c| c.stats()),
+            sanitizer: opts.sanitizer.as_ref().map(|s| s.stats()),
         };
         if tcfg.log_every > 0 && steps / tcfg.log_every > last_logged_chunk {
             last_logged_chunk = steps / tcfg.log_every;
@@ -512,8 +371,8 @@ pub fn train_parallel(
         episode_rewards: episode_rewards.clone(),
         rounds,
         validations,
-        cache: cache.as_ref().map(|c| c.stats()),
-        sanitizer: sanitizer.as_ref().map(|s| s.stats()),
+        cache: opts.cache.as_ref().map(|c| c.stats()),
+        sanitizer: opts.sanitizer.as_ref().map(|s| s.stats()),
     };
     (
         TrainedModel {

@@ -30,6 +30,7 @@ use crate::cache::{memoized_step, sequence_signature, EvalCache, MeasureMemo};
 use posetrl_analyze::memo::memoized;
 use posetrl_analyze::{IncrementalAnalysisManager, ModuleAnalyses, SanitizeLevel, Sanitizer};
 use posetrl_embed::{EmbedConfig, Embedder};
+use posetrl_ir::hash::fnv1a;
 use posetrl_ir::{function_fingerprint, module_hash, Module, ModuleHash, Op};
 use posetrl_opt::manager::{PassManager, PipelineError};
 use posetrl_target::{mca, size::object_size, TargetArch};
@@ -186,6 +187,23 @@ impl PhaseEnv {
     pub fn with_cache(config: EnvConfig, actions: ActionSet, cache: Arc<EvalCache>) -> PhaseEnv {
         let mut env = PhaseEnv::new(config, actions);
         env.set_cache(Some(cache));
+        env
+    }
+
+    /// Creates an environment attached to an optional shared `cache` and
+    /// an optional shared `sanitizer` (`None` keeps the one
+    /// `config.sanitize` builds).
+    pub(crate) fn attached(
+        config: EnvConfig,
+        actions: ActionSet,
+        cache: Option<&Arc<EvalCache>>,
+        sanitizer: Option<&Arc<Sanitizer>>,
+    ) -> PhaseEnv {
+        let mut env = PhaseEnv::new(config, actions);
+        env.set_cache(cache.cloned());
+        if let Some(san) = sanitizer {
+            env.set_sanitizer(Some(Arc::clone(san)));
+        }
         env
     }
 
@@ -479,7 +497,7 @@ fn histogram_state(m: &Module, dim: usize) -> Vec<f64> {
         }
         for id in f.inst_ids() {
             let token = f.op(id).kind_name();
-            let h = posetrl_embed::fnv1a(token);
+            let h = fnv1a(token.as_bytes());
             v[(h % dim as u64) as usize] += 1.0;
             total += 1.0;
             // block counts in a second band

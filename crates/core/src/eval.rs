@@ -7,11 +7,11 @@
 //! - **object size** (the paper's Table IV metric, negative = regression),
 //! - **estimated runtime** from the dynamic cost model (Table V / Fig. 5).
 
+use crate::actions::ActionSet;
 use crate::cache::{memoized_step, sequence_signature, EvalCache};
-use crate::env::run_passes;
+use crate::env::{run_passes, EnvConfig, PhaseEnv};
 use crate::trainer::TrainedModel;
-use parking_lot::Mutex;
-use posetrl_analyze::{IncrementalAnalysisManager, Sanitizer};
+use posetrl_analyze::Sanitizer;
 use posetrl_ir::interp::{InterpConfig, Interpreter};
 use posetrl_ir::module_hash;
 use posetrl_opt::manager::PassManager;
@@ -21,6 +21,7 @@ use posetrl_target::size::object_size;
 use posetrl_target::TargetArch;
 use posetrl_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Per-benchmark comparison of the model's sequence against `-Oz`.
@@ -156,71 +157,171 @@ pub(crate) fn resolved_workers(workers: usize) -> usize {
     }
 }
 
-/// Applies the `-Oz` pipeline, sanitized when a sanitizer is attached
-/// (memoizing its checks through `mgr`, when given).
-pub(crate) fn run_oz(
-    pm: &PassManager,
-    m: &mut posetrl_ir::Module,
-    san: Option<&Sanitizer>,
-    mgr: Option<&IncrementalAnalysisManager>,
-) {
-    run_passes(pm, m, &pipelines::oz(), san, mgr);
+/// Maps `f` over `items` on up to `workers` threads and returns the
+/// results in item order.
+///
+/// Each worker builds its own state with `init` (a pass manager, an
+/// environment) and reuses it for every item it takes; items are handed
+/// out one at a time, so uneven items balance. With `workers <= 1`, or
+/// fewer than two items, everything runs on the caller's thread without
+/// spawning. Every worker pool in this crate is this one.
+pub(crate) fn pool_map<T: Sync, S, R: Send>(
+    items: &[T],
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> R + Sync,
+) -> Vec<R> {
+    let threads = workers.min(items.len());
+    if threads <= 1 {
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            done.push((i, f(&mut state, item)));
+        }
+        done
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(drain)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Evaluates one benchmark: `-Oz` baseline vs the model's greedy sequence.
-fn evaluate_one(
-    model: &TrainedModel,
-    b: &Benchmark,
+/// The `-Oz` side of a greedy-vs-`-Oz` comparison over a benchmark list
+/// (Section V-B): every benchmark compiled with the `-Oz` pipeline and
+/// measured on one architecture. Computed once, it serves any number of
+/// policies and sweeps.
+pub(crate) struct OzBaselines {
     arch: TargetArch,
     measure_runtime: bool,
-    pm: &PassManager,
-    oz_signature: u64,
-    opts: &ParallelEval,
-) -> BenchmarkResult {
-    let cache = opts.cache.as_ref();
-    // -Oz baseline, memoized as a step when a cache is attached
-    let mut oz_module = b.module.clone();
-    let mgr = cache.and_then(|c| c.incremental()).map(Arc::as_ref);
-    let run = |m: &mut posetrl_ir::Module| run_oz(pm, m, opts.sanitizer.as_deref(), mgr);
-    match cache {
-        Some(cache) => {
-            let pre = module_hash(&b.module);
-            memoized_step(&cache.step, pre, oz_signature, &mut oz_module, run);
+    /// Per benchmark: the `-Oz` module, its object size, and its estimated
+    /// cycles (0 when runtime is not measured).
+    runs: Vec<(posetrl_ir::Module, u64, f64)>,
+}
+
+impl OzBaselines {
+    /// Compiles and measures every benchmark under `-Oz` on the pool of
+    /// `opts`. With a cache attached, "apply the whole `-Oz` pipeline" is
+    /// memoized like any other step; an attached sanitizer checks it.
+    pub(crate) fn compute(
+        benchmarks: &[Benchmark],
+        arch: TargetArch,
+        measure_runtime: bool,
+        opts: &ParallelEval,
+    ) -> OzBaselines {
+        let cache = opts.cache.as_deref();
+        let mgr = cache.and_then(|c| c.incremental()).map(Arc::as_ref);
+        let signature = sequence_signature(&pipelines::oz());
+        let runs = pool_map(
+            benchmarks,
+            resolved_workers(opts.workers),
+            PassManager::new,
+            |pm, b| {
+                let mut m = b.module.clone();
+                let run = |m: &mut posetrl_ir::Module| {
+                    run_passes(pm, m, &pipelines::oz(), opts.sanitizer.as_deref(), mgr)
+                };
+                match cache {
+                    Some(c) => {
+                        memoized_step(&c.step, module_hash(&b.module), signature, &mut m, run);
+                    }
+                    None => run(&mut m),
+                }
+                let size = object_size(&m, arch).total;
+                let cycles = if measure_runtime {
+                    measure_cycles(&m, arch)
+                } else {
+                    0.0
+                };
+                (m, size, cycles)
+            },
+        );
+        OzBaselines {
+            arch,
+            measure_runtime,
+            runs,
         }
-        None => run(&mut oz_module),
     }
-    let oz_size = object_size(&oz_module, arch).total;
 
-    // model-predicted sequence
-    let (model_module, sequence) =
-        model.optimize_with(b.module.clone(), cache.cloned(), opts.sanitizer.clone());
-    let model_size = object_size(&model_module, arch).total;
+    /// The `-Oz` module of benchmark `i`.
+    pub(crate) fn module(&self, i: usize) -> &posetrl_ir::Module {
+        &self.runs[i].0
+    }
 
-    let size_reduction_pct = 100.0 * (oz_size as f64 - model_size as f64) / oz_size as f64;
-
-    let (oz_cycles, model_cycles, runtime_improvement_pct) = if measure_runtime {
-        let ozc = measure_cycles(&oz_module, arch);
-        let mc = measure_cycles(&model_module, arch);
-        let imp = if ozc > 0.0 {
-            100.0 * (ozc - mc) / ozc
-        } else {
-            0.0
+    /// Rolls `policy` out greedily on every benchmark (with `env`'s episode
+    /// length and `actions`, on the pool, cache and sanitizer of `opts`)
+    /// and compares each result with its baseline. Returns the comparisons
+    /// and the optimized modules, in benchmark order.
+    ///
+    /// This is the one greedy-vs-`-Oz` comparison: model evaluation, the
+    /// engine's validation sweeps and Table V all run through it. Results
+    /// are bit-identical for any worker count and with or without a cache.
+    pub(crate) fn greedy_vs_oz(
+        &self,
+        policy: &(impl Fn(&[f64]) -> usize + Sync),
+        env: &EnvConfig,
+        actions: &ActionSet,
+        benchmarks: &[Benchmark],
+        opts: &ParallelEval,
+    ) -> (Vec<BenchmarkResult>, Vec<posetrl_ir::Module>) {
+        let arch = self.arch;
+        let init = || {
+            PhaseEnv::attached(
+                env.clone(),
+                actions.clone(),
+                opts.cache.as_ref(),
+                opts.sanitizer.as_ref(),
+            )
         };
-        (ozc, mc, imp)
-    } else {
-        (0.0, 0.0, 0.0)
-    };
-
-    BenchmarkResult {
-        name: b.name.clone(),
-        suite: b.suite.name().to_string(),
-        oz_size,
-        model_size,
-        size_reduction_pct,
-        oz_cycles,
-        model_cycles,
-        runtime_improvement_pct,
-        sequence,
+        let jobs: Vec<_> = benchmarks.iter().zip(&self.runs).collect();
+        pool_map(
+            &jobs,
+            resolved_workers(opts.workers),
+            init,
+            |env, &(b, &(_, oz_size, oz_cycles))| {
+                env.greedy_rollout(b.module.clone(), policy);
+                let model_module = env.module().clone();
+                let model_size = object_size(&model_module, arch).total;
+                let size_reduction_pct =
+                    100.0 * (oz_size as f64 - model_size as f64) / oz_size as f64;
+                let (model_cycles, runtime_improvement_pct) = if self.measure_runtime {
+                    let mc = measure_cycles(&model_module, arch);
+                    let imp = if oz_cycles > 0.0 {
+                        100.0 * (oz_cycles - mc) / oz_cycles
+                    } else {
+                        0.0
+                    };
+                    (mc, imp)
+                } else {
+                    (0.0, 0.0)
+                };
+                let result = BenchmarkResult {
+                    name: b.name.clone(),
+                    suite: b.suite.name().to_string(),
+                    oz_size,
+                    model_size,
+                    size_reduction_pct,
+                    oz_cycles,
+                    model_cycles,
+                    runtime_improvement_pct,
+                    sequence: env.applied_actions().to_vec(),
+                };
+                (result, model_module)
+            },
+        )
+        .into_iter()
+        .unzip()
     }
 }
 
@@ -237,56 +338,9 @@ pub fn evaluate_suite_parallel(
     measure_runtime: bool,
     opts: &ParallelEval,
 ) -> (Vec<BenchmarkResult>, SuiteStats) {
-    let workers = resolved_workers(opts.workers);
-    // "apply the whole -Oz pipeline" is memoized like any other action
-    let oz_signature = sequence_signature(&pipelines::oz());
-    let results: Vec<BenchmarkResult> = if workers <= 1 || benchmarks.len() <= 1 {
-        let pm = PassManager::new();
-        benchmarks
-            .iter()
-            .map(|b| evaluate_one(model, b, arch, measure_runtime, &pm, oz_signature, opts))
-            .collect()
-    } else {
-        let next: Mutex<usize> = Mutex::new(0);
-        let slots: Mutex<Vec<Option<BenchmarkResult>>> = Mutex::new(
-            std::iter::repeat_with(|| None)
-                .take(benchmarks.len())
-                .collect(),
-        );
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(benchmarks.len()) {
-                s.spawn(|| {
-                    let pm = PassManager::new();
-                    loop {
-                        let i = {
-                            let mut n = next.lock();
-                            let i = *n;
-                            *n += 1;
-                            i
-                        };
-                        if i >= benchmarks.len() {
-                            break;
-                        }
-                        let r = evaluate_one(
-                            model,
-                            &benchmarks[i],
-                            arch,
-                            measure_runtime,
-                            &pm,
-                            oz_signature,
-                            opts,
-                        );
-                        slots.lock()[i] = Some(r);
-                    }
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("every benchmark evaluated"))
-            .collect()
-    };
+    let oz = OzBaselines::compute(benchmarks, arch, measure_runtime, opts);
+    let greedy = |s: &[f64]| model.agent.act_greedy(s);
+    let (results, _) = oz.greedy_vs_oz(&greedy, &model.env, &model.actions, benchmarks, opts);
     let stats = aggregate(&results, arch);
     (results, stats)
 }

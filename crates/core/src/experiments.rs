@@ -8,9 +8,9 @@
 
 use crate::actions::ActionSet;
 use crate::env::EnvConfig;
-use crate::eval::{self, evaluate_suite, BenchmarkResult, SuiteStats};
+use crate::eval::{self, evaluate_suite, BenchmarkResult, OzBaselines, ParallelEval, SuiteStats};
 use crate::trainer::{train, TrainedModel, TrainerConfig};
-use posetrl_analyze::{ModuleAnalyses, SanitizeLevel, SanitizerStats};
+use posetrl_analyze::{IncrementalAnalysisManager, ModuleAnalyses, SanitizeLevel, SanitizerStats};
 use posetrl_odg::graph::OzDependenceGraph;
 use posetrl_opt::manager::PassManager;
 use posetrl_opt::pipelines;
@@ -271,19 +271,30 @@ pub struct Table4 {
 }
 
 /// Reproduces Table IV.
+///
+/// Each suite's `-Oz` baselines are built once per architecture and serve
+/// both action spaces.
 pub fn table4(ctx: &ExperimentContext) -> Table4 {
+    let opts = ParallelEval::serial();
+    let suites = ctx.suites();
     let mut rows = Vec::new();
     let mut details = Vec::new();
     for arch in TargetArch::ALL {
+        let oz: Vec<OzBaselines> = suites
+            .iter()
+            .map(|(_, benches)| OzBaselines::compute(benches, arch, false, &opts))
+            .collect();
         for space in ["manual", "ODG"] {
             let model = ctx.model(space, arch);
-            for (suite_name, benches) in ctx.suites() {
-                let (mut res, stats) = evaluate_suite(model, &benches, arch, false);
+            let greedy = |s: &[f64]| model.agent.act_greedy(s);
+            for ((suite_name, benches), oz) in suites.iter().zip(&oz) {
+                let (mut res, _) =
+                    oz.greedy_vs_oz(&greedy, &model.env, &model.actions, benches, &opts);
                 rows.push(Table4Row {
                     suite: suite_name.to_string(),
                     arch,
                     space: space.to_string(),
-                    stats,
+                    stats: eval::aggregate(&res, arch),
                 });
                 if arch == TargetArch::X86_64 && space == "ODG" {
                     details.append(&mut res);
@@ -347,59 +358,61 @@ pub struct Table5 {
     pub details: Vec<BenchmarkResult>,
 }
 
-/// Mean frequency-weighted static-cycle improvement of `model` vs `-Oz`
-/// over `benches` (x86-64, no interpreter run).
-fn weighted_improvement(model: &TrainedModel, benches: &[Benchmark]) -> f64 {
-    let arch = TargetArch::X86_64;
-    let pm = PassManager::new();
-    // One shared manager for the whole sweep: unchanged functions in
-    // the -Oz/model module pairs hit the scev/profile memo instead of
-    // recomputing the profile per call site (bit-identical either way).
-    let mgr = posetrl_analyze::IncrementalAnalysisManager::new();
-    let mut sum = 0.0f64;
-    for b in benches {
-        let mut oz = b.module.clone();
-        eval::run_oz(&pm, &mut oz, None, None);
-        let (mm, _) = model.optimize_with(b.module.clone(), None, None);
-        let ozc = posetrl_target::runtime::static_cycles(
-            &oz,
-            &posetrl_analyze::profile::of_scev(ModuleAnalyses::new(&oz, Some(&mgr)).scev()),
-            arch,
-        );
-        let mc = posetrl_target::runtime::static_cycles(
-            &mm,
-            &posetrl_analyze::profile::of_scev(ModuleAnalyses::new(&mm, Some(&mgr)).scev()),
-            arch,
-        );
-        sum += if ozc > 0.0 {
-            100.0 * (ozc - mc) / ozc
-        } else {
-            0.0
-        };
-    }
-    sum / benches.len().max(1) as f64
+/// Frequency-weighted static cycles of `m` on x86-64 (no interpreter
+/// run): [`posetrl_target::runtime::static_cycles`] over the SCEV-backed
+/// block-frequency profile, memoized through `mgr`.
+fn weighted_cycles(m: &posetrl_ir::Module, mgr: &IncrementalAnalysisManager) -> f64 {
+    let profile = posetrl_analyze::profile::of_scev(ModuleAnalyses::new(m, Some(mgr)).scev());
+    posetrl_target::runtime::static_cycles(m, &profile, TargetArch::X86_64)
 }
 
 /// Reproduces Table V.
+///
+/// Each suite's `-Oz` baselines are built once, and each model's greedy
+/// sweep against them feeds both the flat row and the frequency-weighted
+/// row: one rollout per (model, benchmark).
 pub fn table5(ctx: &ExperimentContext) -> Table5 {
     let arch = TargetArch::X86_64;
+    let opts = ParallelEval::serial();
     let mut rows = Vec::new();
     let mut weighted_rows = Vec::new();
     let mut details = Vec::new();
     for (suite_name, benches) in ctx.suites() {
-        let (_, stats_manual) = evaluate_suite(ctx.model("manual", arch), &benches, arch, true);
-        let (mut res_odg, stats_odg) = evaluate_suite(ctx.model("ODG", arch), &benches, arch, true);
+        let oz = OzBaselines::compute(&benches, arch, true, &opts);
+        // one shared manager per suite: unchanged functions in the
+        // -Oz/model module pairs hit the scev/profile memo instead of
+        // recomputing the profile (bit-identical either way)
+        let mgr = IncrementalAnalysisManager::new();
+        let oz_weighted: Vec<f64> = (0..benches.len())
+            .map(|i| weighted_cycles(oz.module(i), &mgr))
+            .collect();
+        let [(manual, manual_w), (mut odg, odg_w)] = ["manual", "ODG"].map(|space| {
+            let model = ctx.model(space, arch);
+            let greedy = |s: &[f64]| model.agent.act_greedy(s);
+            let (results, modules) =
+                oz.greedy_vs_oz(&greedy, &model.env, &model.actions, &benches, &opts);
+            let weighted = modules
+                .iter()
+                .zip(&oz_weighted)
+                .map(|(m, &ozc)| {
+                    let mc = weighted_cycles(m, &mgr);
+                    if ozc > 0.0 {
+                        100.0 * (ozc - mc) / ozc
+                    } else {
+                        0.0
+                    }
+                })
+                .sum::<f64>()
+                / benches.len().max(1) as f64;
+            (results, weighted)
+        });
         rows.push((
             suite_name.to_string(),
-            stats_manual.avg_runtime_improvement_pct,
-            stats_odg.avg_runtime_improvement_pct,
+            eval::aggregate(&manual, arch).avg_runtime_improvement_pct,
+            eval::aggregate(&odg, arch).avg_runtime_improvement_pct,
         ));
-        weighted_rows.push((
-            suite_name.to_string(),
-            weighted_improvement(ctx.model("manual", arch), &benches),
-            weighted_improvement(ctx.model("ODG", arch), &benches),
-        ));
-        details.append(&mut res_odg);
+        weighted_rows.push((suite_name.to_string(), manual_w, odg_w));
+        details.append(&mut odg);
     }
     Table5 {
         rows,

@@ -155,25 +155,8 @@ impl TrainedModel {
         module: posetrl_ir::Module,
         cache: Option<std::sync::Arc<crate::cache::EvalCache>>,
     ) -> (posetrl_ir::Module, Vec<usize>) {
-        self.optimize_with(module, cache, None)
-    }
-
-    /// Like [`TrainedModel::optimize_cached`], additionally attaching a
-    /// shared pass-pipeline sanitizer to the rollout environment (`None`
-    /// keeps whatever `self.env.sanitize` configures).
-    pub fn optimize_with(
-        &self,
-        module: posetrl_ir::Module,
-        cache: Option<std::sync::Arc<crate::cache::EvalCache>>,
-        sanitizer: Option<std::sync::Arc<posetrl_analyze::Sanitizer>>,
-    ) -> (posetrl_ir::Module, Vec<usize>) {
-        let mut env = match cache {
-            Some(c) => PhaseEnv::with_cache(self.env.clone(), self.actions.clone(), c),
-            None => PhaseEnv::new(self.env.clone(), self.actions.clone()),
-        };
-        if sanitizer.is_some() {
-            env.set_sanitizer(sanitizer);
-        }
+        let mut env =
+            PhaseEnv::attached(self.env.clone(), self.actions.clone(), cache.as_ref(), None);
         self.rollout(&mut env, module);
         (env.module().clone(), env.applied_actions().to_vec())
     }
@@ -197,18 +180,35 @@ pub(crate) fn tail_mean_reward(episode_rewards: &[f64]) -> f64 {
     }
 }
 
-/// Trains a Double-DQN agent on `programs` with the given action set.
-pub fn train(config: &TrainerConfig, actions: ActionSet, programs: &[Benchmark]) -> TrainedModel {
-    let used: Vec<&Benchmark> = match config.max_programs {
-        Some(n) => programs.iter().take(n).collect(),
-        None => programs.iter().collect(),
-    };
+/// The set-up both trainers share: the training programs left after the
+/// `max_programs` cut, and the agent configuration with the state and
+/// action dimensions filled in.
+///
+/// # Panics
+///
+/// Panics if the cut leaves no program.
+pub(crate) fn training_setup<'a>(
+    config: &TrainerConfig,
+    actions: &ActionSet,
+    programs: &'a [Benchmark],
+) -> (&'a [Benchmark], DqnConfig) {
+    let n = config.max_programs.unwrap_or(programs.len());
+    let used = &programs[..n.min(programs.len())];
     assert!(!used.is_empty(), "training needs at least one program");
+    let mut agent = config.agent.clone();
+    agent.state_dim = PhaseEnv::new(config.env.clone(), actions.clone()).state_dim();
+    agent.n_actions = actions.len();
+    (used, agent)
+}
 
+/// Trains a Double-DQN agent on `programs` with the given action set.
+///
+/// # Panics
+///
+/// Panics if `programs` is empty after applying `max_programs`.
+pub fn train(config: &TrainerConfig, actions: ActionSet, programs: &[Benchmark]) -> TrainedModel {
+    let (used, agent_cfg) = training_setup(config, &actions, programs);
     let mut env = PhaseEnv::new(config.env.clone(), actions.clone());
-    let mut agent_cfg = config.agent.clone();
-    agent_cfg.state_dim = env.state_dim();
-    agent_cfg.n_actions = actions.len();
     let mut agent = DqnAgent::new(agent_cfg);
 
     let mut episode_rewards = Vec::new();

@@ -36,6 +36,7 @@
 //! ```
 
 use parking_lot::{Mutex, RwLock};
+use posetrl_ir::hash::{fnv1a, mix64, SPLITMIX_GAMMA};
 use posetrl_ir::{Function, InstId, Module, Op, Ty, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -98,10 +99,11 @@ impl Vocabulary {
         if let Some(v) = self.cache.lock().get(token) {
             return Arc::clone(v);
         }
-        let mut state = self.seed ^ fnv1a(token);
+        let mut state = self.seed ^ fnv1a(token.as_bytes());
         let mut v = Vec::with_capacity(self.dim);
         for _ in 0..self.dim {
-            state = splitmix64(state);
+            // iterate the full SplitMix64 step on its own output
+            state = mix64(state.wrapping_add(SPLITMIX_GAMMA));
             // uniform in [-1, 1]
             let x = ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
             v.push(x);
@@ -117,25 +119,6 @@ impl Vocabulary {
         }
         v
     }
-}
-
-/// FNV-1a hash of a token (shared across the workspace for deterministic,
-/// seed-stable token hashing).
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Configuration of the embedding construction.

@@ -105,6 +105,26 @@ impl Write for HashSink {
     }
 }
 
+/// 64-bit FNV-1a of `bytes`: the workspace's seed-stable token hash
+/// (embedding vocabulary, action signatures, benchmark seeds).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
+/// The SplitMix64 increment (2⁶⁴ / φ, odd).
+pub const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer: a bijective mix that spreads every input bit
+/// over the whole output. One step of the SplitMix64 generator is
+/// `mix64(state += SPLITMIX_GAMMA)`.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Digests an arbitrary string with the same double-FNV scheme the
 /// structural hashes use. Consumers (the incremental analysis manager)
 /// use this to derive composite memo keys from digests + debug forms.
@@ -211,6 +231,17 @@ mod tests {
     use crate::printer::{print_module, write_function_entry, write_module_header};
     use crate::types::Ty;
     use crate::value::{Const, Value};
+
+    #[test]
+    fn token_hashes_match_their_reference_vectors() {
+        // episode seeds, serve's shard routing, benchmark seeds and the
+        // embedding vocabulary all hang off these two functions
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        // the first SplitMix64 output from seed 0
+        assert_eq!(mix64(SPLITMIX_GAMMA), 0xe220_a839_7b1d_cdaf);
+    }
 
     fn sample_module() -> Module {
         let mut mb = ModuleBuilder::new("m");

@@ -36,6 +36,7 @@ use posetrl::cache::MeasureMemo;
 use posetrl::env::{measure, PhaseEnv};
 use posetrl::{CacheStats, EvalCache, TrainedModel};
 use posetrl_analyze::{ClassStats, Memo, Sanitizer};
+use posetrl_ir::hash::{mix64, SPLITMIX_GAMMA};
 use posetrl_ir::parser::parse_module;
 use posetrl_ir::printer::print_module;
 use posetrl_ir::{digest_str, module_hash, Module, ModuleHash};
@@ -400,11 +401,7 @@ impl Drop for Server {
 /// to spread any residual structure.
 fn worker_of(h: ModuleHash, workers: usize) -> usize {
     let folded = (h.0 as u64) ^ ((h.0 >> 64) as u64);
-    let mut z = folded.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % workers as u64) as usize
+    (mix64(folded.wrapping_add(SPLITMIX_GAMMA)) % workers as u64) as usize
 }
 
 /// A stored response re-issued under a new request's id and timing.

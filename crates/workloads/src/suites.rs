@@ -8,6 +8,7 @@
 //! module.
 
 use crate::{generate, ProgramKind, ProgramSpec, SizeClass};
+use posetrl_ir::hash::fnv1a;
 use posetrl_ir::Module;
 use serde::{Deserialize, Serialize};
 
@@ -49,21 +50,12 @@ pub struct Benchmark {
     pub module: Module,
 }
 
-fn name_seed(name: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn bench(name: &str, suite: Suite, kind: ProgramKind, size: SizeClass) -> Benchmark {
     let spec = ProgramSpec {
         name: name.to_string(),
         kind,
         size,
-        seed: name_seed(name),
+        seed: fnv1a(name.as_bytes()),
     };
     let module = generate(&spec);
     Benchmark {

@@ -24,7 +24,8 @@
 //! and no other code calls the scev or depend module drivers. Two more
 //! keep one home each: a lookup through an optional memo goes through
 //! `posetrl_analyze::memo::memoized`, and only the call graph absint and
-//! alias share builds the address-taken set.
+//! alias share builds the address-taken set. The `posetrl` core runs all
+//! of its parallel work on one worker pool, `eval::pool_map`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -454,5 +455,26 @@ fn only_the_shared_call_graph_builds_an_address_taken_set() {
     assert!(
         found.is_empty(),
         "read the address-taken set off callgraph::CallGraph: {found:#?}"
+    );
+}
+
+#[test]
+fn the_core_crate_has_one_worker_pool() {
+    // evaluation, the engine's rounds and its validation sweeps all fan
+    // out through `eval::pool_map`; a second `thread::scope` in library
+    // code would be a hand-built pool beside it
+    let found: Vec<String> = library_lines("crates/core/src")
+        .into_iter()
+        .filter(|(_, _, line)| line.contains("thread::scope"))
+        .map(|(rel, n, _)| format!("{rel}:{n}"))
+        .collect();
+    assert_eq!(
+        found.len(),
+        1,
+        "one thread::scope, in eval::pool_map: {found:#?}"
+    );
+    assert!(
+        found[0].starts_with("crates/core/src/eval.rs:"),
+        "the pool lives in eval.rs: {found:#?}"
     );
 }
