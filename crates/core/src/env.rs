@@ -292,7 +292,22 @@ impl PhaseEnv {
     /// Starts an episode on `module` (the unoptimized input). Returns the
     /// initial state.
     pub fn reset(&mut self, module: Module) -> Vec<f64> {
-        self.cur_hash = self.cache.as_ref().map(|_| module_hash(&module));
+        let hash = self.cache.as_ref().map(|_| module_hash(&module));
+        self.start(module, hash)
+    }
+
+    /// [`PhaseEnv::reset`] on a module the caller has already hashed:
+    /// `hash` is `module_hash(&module)`, and a cached environment keys its
+    /// memos by it instead of hashing the module again.
+    pub fn reset_hashed(&mut self, module: Module, hash: ModuleHash) -> Vec<f64> {
+        debug_assert_eq!(hash, module_hash(&module), "reset_hashed got a stale hash");
+        let hash = self.cache.as_ref().map(|_| hash);
+        self.start(module, hash)
+    }
+
+    /// The one body of both resets; `hash` is tracked exactly when caching.
+    fn start(&mut self, module: Module, hash: Option<ModuleHash>) -> Vec<f64> {
+        self.cur_hash = hash;
         let meas = measure(
             self.cache.as_deref().zip(self.cur_hash),
             &module,
@@ -373,13 +388,12 @@ impl PhaseEnv {
         }
     }
 
-    /// The greedy inference loop: resets on `module` and applies the
-    /// action `pick` chooses for each state until the episode ends. The
-    /// optimized module and the applied actions are left in the
-    /// environment. Every greedy rollout (inference, serving, the
-    /// engine's validation sweeps) runs through here.
-    pub fn greedy_rollout(&mut self, module: Module, pick: impl Fn(&[f64]) -> usize) {
-        let mut state = self.reset(module);
+    /// The greedy inference loop: from `state`, the state a reset just
+    /// returned, applies the action `pick` chooses for each state until
+    /// the episode ends. The optimized module and the applied actions are
+    /// left in the environment. Every greedy rollout (inference, serving,
+    /// the engine's validation sweeps) runs through here.
+    pub fn greedy_rollout(&mut self, mut state: Vec<f64>, pick: impl Fn(&[f64]) -> usize) {
         loop {
             let r = self.step(pick(&state));
             if r.done {

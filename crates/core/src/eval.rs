@@ -290,7 +290,8 @@ impl OzBaselines {
             resolved_workers(opts.workers),
             init,
             |env, &(b, &(_, oz_size, oz_cycles))| {
-                env.greedy_rollout(b.module.clone(), policy);
+                let state = env.reset(b.module.clone());
+                env.greedy_rollout(state, policy);
                 let model_module = env.module().clone();
                 let model_size = object_size(&model_module, arch).total;
                 let size_reduction_pct =

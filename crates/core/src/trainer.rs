@@ -157,15 +157,17 @@ impl TrainedModel {
     ) -> (posetrl_ir::Module, Vec<usize>) {
         let mut env =
             PhaseEnv::attached(self.env.clone(), self.actions.clone(), cache.as_ref(), None);
-        self.rollout(&mut env, module);
+        let state = env.reset(module);
+        self.rollout(&mut env, state);
         (env.module().clone(), env.applied_actions().to_vec())
     }
 
-    /// [`PhaseEnv::greedy_rollout`] of `argmax Q`: the optimized module
-    /// and the applied actions are left in `env`, which the caller
-    /// prepares (arch, episode length, cache, sanitizer).
-    pub fn rollout(&self, env: &mut PhaseEnv, module: posetrl_ir::Module) {
-        env.greedy_rollout(module, |s| self.agent.act_greedy(s));
+    /// [`PhaseEnv::greedy_rollout`] of `argmax Q` from `state`, the state
+    /// resetting `env` returned: the optimized module and the applied
+    /// actions are left in `env`, which the caller prepares (arch, episode
+    /// length, cache, sanitizer) and resets.
+    pub fn rollout(&self, env: &mut PhaseEnv, state: Vec<f64>) {
+        env.greedy_rollout(state, |s| self.agent.act_greedy(s));
     }
 }
 

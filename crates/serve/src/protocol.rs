@@ -31,6 +31,15 @@
 //! ```json
 //! {"id":"r1","ok":false,"error":{"kind":"module-too-large","message":"..."}}
 //! ```
+//!
+//! Cost: a module's text is most of every line, so each of the four
+//! functions copies it at most once. [`Request::to_json`] and
+//! [`Response::to_json`] clone it into a [`Value`] and print that through
+//! its `Display`; [`parse_request`] and [`parse_response`] parse the line
+//! with `Value`'s `FromStr` and move the string out of the tree. Escaping
+//! and unescaping work by runs of plain bytes (see the vendored
+//! `serde_json`), so their cost is a scan of the text plus one write per
+//! escape: in `.pir` text, about one per line (`\n`, `\t`, `\"`).
 
 use posetrl_target::TargetArch;
 use serde_json::{json, Value};
@@ -143,18 +152,13 @@ pub struct Request {
 impl Request {
     /// Serializes to one wire line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("id".to_string(), Value::String(self.id.clone())),
-            ("module".to_string(), Value::String(self.module.clone())),
-            (
-                "arch".to_string(),
-                Value::String(self.arch.name().to_string()),
-            ),
+        let fields = [
+            ("id", Value::String(self.id.clone())),
+            ("module", Value::String(self.module.clone())),
+            ("arch", Value::String(self.arch.name().to_string())),
         ];
-        if let Some(n) = self.max_steps {
-            fields.push(("max_steps".to_string(), json!(n)));
-        }
-        serde_json::to_string(&Value::Object(fields)).expect("request serialization is total")
+        let steps = self.max_steps.map(|n| ("max_steps", json!(n)));
+        object(fields.into_iter().chain(steps)).to_string()
     }
 }
 
@@ -229,42 +233,49 @@ impl Response {
     /// Serializes to one wire line (no trailing newline).
     pub fn to_json(&self) -> String {
         let v = match self {
-            Response::Ok(r) => json!({
-                "id": r.id,
-                "ok": true,
-                "module": r.module,
-                "actions": r.actions,
-                "size_before": r.size_before,
-                "size_after": r.size_after,
-                "cycles_before": r.cycles_before,
-                "cycles_after": r.cycles_after,
-                "wall_us": r.wall_us,
-                "cached": r.cached,
-                "shard": r.shard,
-                "batch": r.batch,
-            }),
-            Response::Err(r) => {
-                let id = match &r.id {
-                    Some(s) => Value::String(s.clone()),
-                    None => Value::Null,
-                };
-                json!({
-                    "id": id,
-                    "ok": false,
-                    "error": json!({
-                        "kind": r.error.kind.as_str(),
-                        "message": r.error.message,
-                    }),
-                })
-            }
+            Response::Ok(r) => object([
+                ("id", Value::String(r.id.clone())),
+                ("ok", Value::Bool(true)),
+                ("module", Value::String(r.module.clone())),
+                ("actions", json!(r.actions)),
+                ("size_before", json!(r.size_before)),
+                ("size_after", json!(r.size_after)),
+                ("cycles_before", json!(r.cycles_before)),
+                ("cycles_after", json!(r.cycles_after)),
+                ("wall_us", json!(r.wall_us)),
+                ("cached", Value::Bool(r.cached)),
+                ("shard", json!(r.shard)),
+                ("batch", json!(r.batch)),
+            ]),
+            Response::Err(r) => object([
+                ("id", r.id.clone().map_or(Value::Null, Value::String)),
+                ("ok", Value::Bool(false)),
+                (
+                    "error",
+                    object([
+                        ("kind", Value::String(r.error.kind.as_str().to_string())),
+                        ("message", Value::String(r.error.message.clone())),
+                    ]),
+                ),
+            ]),
         };
-        serde_json::to_string(&v).expect("response serialization is total")
+        v.to_string()
     }
 }
 
 /// Parses `s` as the target-arch wire spelling.
 pub fn parse_arch(s: &str) -> Option<TargetArch> {
     TargetArch::ALL.iter().copied().find(|a| a.name() == s)
+}
+
+/// A JSON object of `fields`, in order.
+fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 // --- strict object access helpers -----------------------------------------
@@ -296,17 +307,24 @@ fn reject_unknown(obj: &[(String, Value)], allowed: &[&str]) -> Result<(), Proto
     Ok(())
 }
 
-fn required<'a>(v: &'a Value, key: &str) -> Result<&'a Value, ProtocolError> {
-    v.get(key).ok_or_else(|| {
-        ProtocolError::new(ErrorKind::MissingField, format!("missing field `{key}`"))
-    })
+fn missing(key: &str) -> ProtocolError {
+    ProtocolError::new(ErrorKind::MissingField, format!("missing field `{key}`"))
 }
 
-fn required_str(v: &Value, key: &str) -> Result<String, ProtocolError> {
-    required(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| ProtocolError::new(ErrorKind::BadValue, format!("`{key}` must be a string")))
+fn required<'a>(v: &'a Value, key: &str) -> Result<&'a Value, ProtocolError> {
+    v.get(key).ok_or_else(|| missing(key))
+}
+
+/// Moves the string member `key` out of `v` (leaving it empty), so a
+/// parsed string is never copied again.
+fn take_str(v: &mut Value, key: &str) -> Result<String, ProtocolError> {
+    match v.get_mut(key).ok_or_else(|| missing(key))? {
+        Value::String(s) => Ok(std::mem::take(s)),
+        _ => Err(ProtocolError::new(
+            ErrorKind::BadValue,
+            format!("`{key}` must be a string"),
+        )),
+    }
 }
 
 fn required_u64(v: &Value, key: &str) -> Result<u64, ProtocolError> {
@@ -330,6 +348,13 @@ fn required_bool(v: &Value, key: &str) -> Result<bool, ProtocolError> {
     })
 }
 
+/// Parses one wire line into a JSON value; its error text is the client's
+/// `message`.
+fn parse_line(line: &str) -> Result<Value, ProtocolError> {
+    line.parse()
+        .map_err(|e: serde_json::Error| ProtocolError::new(ErrorKind::Parse, e.to_string()))
+}
+
 /// Parses one request line strictly.
 ///
 /// # Errors
@@ -337,12 +362,11 @@ fn required_bool(v: &Value, key: &str) -> Result<bool, ProtocolError> {
 /// Structured [`ProtocolError`]s for malformed JSON, duplicate/unknown/
 /// missing fields, and wrong types — never a panic.
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    let v: Value = serde_json::from_str(line)
-        .map_err(|e| ProtocolError::new(ErrorKind::Parse, e.to_string()))?;
+    let mut v = parse_line(line)?;
     let obj = as_strict_object(&v)?;
     reject_unknown(obj, &["id", "module", "arch", "max_steps"])?;
-    let id = required_str(&v, "id")?;
-    let module = required_str(&v, "module")?;
+    let id = take_str(&mut v, "id")?;
+    let module = take_str(&mut v, "module")?;
     let arch = match v.get("arch") {
         None => TargetArch::X86_64,
         Some(a) => {
@@ -381,8 +405,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
 ///
 /// Structured [`ProtocolError`]s, never a panic.
 pub fn parse_response(line: &str) -> Result<Response, ProtocolError> {
-    let v: Value = serde_json::from_str(line)
-        .map_err(|e| ProtocolError::new(ErrorKind::Parse, e.to_string()))?;
+    let mut v = parse_line(line)?;
     let obj = as_strict_object(&v)?;
     let ok = required_bool(&v, "ok")?;
     if ok {
@@ -413,8 +436,8 @@ pub fn parse_response(line: &str) -> Result<Response, ProtocolError> {
             })?);
         }
         Ok(Response::Ok(OkResponse {
-            id: required_str(&v, "id")?,
-            module: required_str(&v, "module")?,
+            id: take_str(&mut v, "id")?,
+            module: take_str(&mut v, "module")?,
             actions,
             size_before: required_u64(&v, "size_before")?,
             size_after: required_u64(&v, "size_after")?,
@@ -427,9 +450,9 @@ pub fn parse_response(line: &str) -> Result<Response, ProtocolError> {
         }))
     } else {
         reject_unknown(obj, &["id", "ok", "error"])?;
-        let id = match required(&v, "id")? {
+        let id = match v.get_mut("id").ok_or_else(|| missing("id"))? {
             Value::Null => None,
-            Value::String(s) => Some(s.clone()),
+            Value::String(s) => Some(std::mem::take(s)),
             _ => {
                 return Err(ProtocolError::new(
                     ErrorKind::BadValue,
@@ -437,12 +460,12 @@ pub fn parse_response(line: &str) -> Result<Response, ProtocolError> {
                 ))
             }
         };
-        let err_v = required(&v, "error")?;
+        let err_v = v.get_mut("error").ok_or_else(|| missing("error"))?;
         let err_obj = err_v
             .as_object()
             .ok_or_else(|| ProtocolError::new(ErrorKind::BadValue, "`error` must be an object"))?;
         reject_unknown(err_obj, &["kind", "message"])?;
-        let kind_s = required_str(err_v, "kind")?;
+        let kind_s = take_str(err_v, "kind")?;
         let kind = ErrorKind::parse(&kind_s).ok_or_else(|| {
             ProtocolError::new(
                 ErrorKind::BadValue,
@@ -451,7 +474,7 @@ pub fn parse_response(line: &str) -> Result<Response, ProtocolError> {
         })?;
         Ok(Response::Err(ErrResponse {
             id,
-            error: ProtocolError::new(kind, required_str(err_v, "message")?),
+            error: ProtocolError::new(kind, take_str(err_v, "message")?),
         }))
     }
 }
@@ -550,6 +573,141 @@ mod tests {
         ];
         for line in cases {
             assert!(parse_response(line).is_err(), "should reject {line}");
+        }
+    }
+
+    /// `MODULE` as a wire line carries it.
+    macro_rules! module_wire {
+        () => {
+            concat!(
+                r#""module \"q\\\"t\"\nfn @main() -> i64 internal {\nbb0:\n\tret 0:i64 ; \\ \u0001\u001f\b\f\r"#,
+                "\u{7f}",
+                r#" é→😀 /\n}\n""#
+            )
+        };
+    }
+
+    /// A module name and body with quotes, backslashes, control bytes,
+    /// DEL and multi-byte characters.
+    const MODULE: &str = "module \"q\\\"t\"\nfn @main() -> i64 internal {\nbb0:\n\tret 0:i64 ; \\ \u{1}\u{1f}\u{8}\u{c}\r\u{7f} é→😀 /\n}\n";
+    const ID: &str = "r\"1\\\n";
+
+    fn ok_response(id: &str, cached: bool) -> OkResponse {
+        OkResponse {
+            id: id.into(),
+            module: MODULE.into(),
+            actions: vec![23, 0, 7],
+            size_before: 940,
+            size_after: 830,
+            cycles_before: 61.25,
+            cycles_after: 55.0,
+            wall_us: 1834,
+            cached,
+            shard: 1,
+            batch: u64::from(!cached),
+        }
+    }
+
+    /// Wire lines are pinned byte for byte: a faster encoder must write
+    /// exactly what clients have always read.
+    #[test]
+    fn golden_wire_lines() {
+        let req = Request {
+            id: ID.into(),
+            module: MODULE.into(),
+            arch: TargetArch::AArch64,
+            max_steps: Some(7),
+        };
+        let cases = [
+            (
+                req.to_json(),
+                concat!(
+                    r#"{"id":"r\"1\\\n","module":"#,
+                    module_wire!(),
+                    r#","arch":"aarch64","max_steps":7}"#
+                ),
+            ),
+            (
+                Request {
+                    arch: TargetArch::X86_64,
+                    max_steps: None,
+                    ..req.clone()
+                }
+                .to_json(),
+                concat!(
+                    r#"{"id":"r\"1\\\n","module":"#,
+                    module_wire!(),
+                    r#","arch":"x86-64"}"#
+                ),
+            ),
+            (
+                Response::Ok(ok_response(ID, false)).to_json(),
+                concat!(
+                    r#"{"id":"r\"1\\\n","ok":true,"module":"#,
+                    module_wire!(),
+                    r#","actions":[23,0,7],"size_before":940,"size_after":830,"cycles_before":61.25,"cycles_after":55.0,"wall_us":1834,"cached":false,"shard":1,"batch":1}"#
+                ),
+            ),
+            (
+                // a store hit: the stored response under a new id
+                Response::Ok(ok_response("again\t", true)).to_json(),
+                concat!(
+                    r#"{"id":"again\t","ok":true,"module":"#,
+                    module_wire!(),
+                    r#","actions":[23,0,7],"size_before":940,"size_after":830,"cycles_before":61.25,"cycles_after":55.0,"wall_us":1834,"cached":true,"shard":1,"batch":0}"#
+                ),
+            ),
+            (
+                Response::err(
+                    Some(ID.into()),
+                    ErrorKind::BadModule,
+                    "module does not parse: \"x\\y\"\n\u{2}",
+                )
+                .to_json(),
+                r#"{"id":"r\"1\\\n","ok":false,"error":{"kind":"bad-module","message":"module does not parse: \"x\\y\"\n\u0002"}}"#,
+            ),
+            (
+                Response::err(None, ErrorKind::Parse, "expected `,` or `}` at offset 9").to_json(),
+                r#"{"id":null,"ok":false,"error":{"kind":"parse","message":"expected `,` or `}` at offset 9"}}"#,
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
+        assert_eq!(parse_request(&req.to_json()).unwrap(), req);
+    }
+
+    /// Parse errors reach clients as the error `message`, so their text
+    /// is pinned too.
+    #[test]
+    fn golden_parse_error_texts() {
+        let cases = [
+            ("", "expected a JSON value at offset 0"),
+            ("{", "expected `\"` at offset 1"),
+            (
+                r#"{"id":"a","module":"m""#,
+                "expected `,` or `}` at offset 22",
+            ),
+            (
+                r#"{"id":"a","module":"m"} trailing"#,
+                "trailing characters at offset 24",
+            ),
+            ("nul", "expected `null` at offset 0"),
+            (r#""\x""#, "unknown escape at offset 3"),
+            (r#""\u12""#, "truncated \\u escape at offset 3"),
+            (r#""\u12g4""#, "invalid \\u escape at offset 3"),
+            (r#""\ud800x""#, "expected `\\` at offset 7"),
+            ("[1,]", "expected a JSON value at offset 3"),
+            (r#"{"a" 1}"#, "expected `:` at offset 5"),
+            ("-", "invalid number at offset 1"),
+            ("1e", "invalid number at offset 2"),
+            (r#""abc"#, "unterminated string at offset 4"),
+            ("\"\\", "unterminated escape at offset 2"),
+        ];
+        for (line, message) in cases {
+            let want = ProtocolError::new(ErrorKind::Parse, message);
+            assert_eq!(parse_request(line).unwrap_err(), want, "{line}");
+            assert_eq!(parse_response(line).unwrap_err(), want, "{line}");
         }
     }
 

@@ -435,7 +435,9 @@ fn rollout(inner: &Inner, job: &Job) -> RolloutOut {
     if inner.sanitizer.is_some() {
         env.set_sanitizer(inner.sanitizer.clone());
     }
-    inner.model.rollout(&mut env, job.module.clone());
+    // admit hashed the module for its store key; the reset reuses it
+    let state = env.reset_hashed(job.module.clone(), job.hash);
+    inner.model.rollout(&mut env, state);
     let actions: Vec<u64> = env.applied_actions().iter().map(|&a| a as u64).collect();
     inner
         .decisions
